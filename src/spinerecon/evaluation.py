@@ -224,8 +224,10 @@ def evaluate_reconstruction(registered: SpineModel, ground_truth: SpineModel,
                             elapsed_s: float | None = None) -> RegistrationReport:
     """Compare a registered spine against complete ground-truth vertebrae.
 
-    Point-to-model distance is measured twice per level: restricted to
-    vertebral-body-labeled source vertices and over the whole vertebra.
+    Point-to-model distance is reported twice per level, over the whole
+    vertebra and restricted to vertebral-body-labeled source vertices
+    (the whole vertebra when no vertex carries the body label); both
+    means come from one surface query of the registered vertices.
     When ground-truth landmark sets are given (ordered like the
     levels), landmark MAE and morphometric MAEs are filled in from the
     registered spine's mapped landmarks; otherwise those fields stay
@@ -238,12 +240,16 @@ def evaluate_reconstruction(registered: SpineModel, ground_truth: SpineModel,
     p2m_vb: dict[str, float] = {}
     p2m_full: dict[str, float] = {}
     for reg_v, gt_v in zip(registered.vertebrae, ground_truth.vertebrae):
-        index = SurfaceIndex(gt_v.mesh)
-        p2m_full[reg_v.level] = point_to_model_distance(reg_v.mesh, index)
-        mask = None
-        if reg_v.mesh.labels is not None and np.any(reg_v.mesh.labels == LABEL_VERTEBRAL_BODY):
-            mask = reg_v.mesh.labels == LABEL_VERTEBRAL_BODY
-        p2m_vb[reg_v.level] = point_to_model_distance(reg_v.mesh, index, vertex_mask=mask)
+        if reg_v.mesh.n_vertices == 0:
+            raise ValueError("no source vertices to measure")
+        # a point's nearest-surface result does not depend on the rest of
+        # its batch, so one query serves both means bit for bit
+        _, dist = SurfaceIndex(gt_v.mesh).query(reg_v.mesh.vertices)
+        labels = reg_v.mesh.labels
+        mask = None if labels is None else labels == LABEL_VERTEBRAL_BODY
+        body = dist[mask] if mask is not None and mask.any() else dist
+        p2m_full[reg_v.level] = float(dist.mean())
+        p2m_vb[reg_v.level] = float(body.mean())
 
     lmk_mae = None
     width_mae = depth_mae = height_mae = ivd_mae = fsu_mae = None

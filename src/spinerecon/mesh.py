@@ -144,10 +144,10 @@ def center_of_mass(mesh: TriangleMesh) -> np.ndarray:
 def median_edge_length(mesh: TriangleMesh) -> float:
     """Median length over the unique undirected edges of the mesh."""
     edges = _undirected_edges(mesh.triangles)
-    edges = np.unique(edges, axis=0)
-    lengths = np.linalg.norm(
-        mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1
-    )
+    # i * n + j with i < j < n sorts like the rows of np.unique(axis=0)
+    n = mesh.n_vertices
+    first, second = np.divmod(np.unique(edges[:, 0] * n + edges[:, 1]), n)
+    lengths = np.linalg.norm(mesh.vertices[first] - mesh.vertices[second], axis=1)
     return float(np.median(lengths))
 
 

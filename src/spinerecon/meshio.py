@@ -3,6 +3,11 @@
 PLY carries an optional per-vertex integer property named "region"
 that maps to TriangleMesh.labels; STL and OBJ drop labels. Units are
 millimeters by convention; no unit metadata is read or written.
+
+Binary blocks (STL facets, PLY vertices and PLY faces) are read with one
+structured-dtype np.frombuffer each; a binary PLY face list must use
+integer types and hold exactly three indices per face. ASCII formats
+are parsed line by line, and errors name the line or byte at fault.
 """
 
 from __future__ import annotations
@@ -182,7 +187,10 @@ def _load_ply(path: str) -> TriangleMesh:
                 raise MeshParseError(f"{path}:{lineno}: unsupported PLY format {tokens[1]!r}")
             fmt = tokens[1]
         elif tokens[0] == "element":
-            elements.append({"name": tokens[1], "count": int(tokens[2]), "props": []})
+            count = int(tokens[2])
+            if count < 0:
+                raise MeshParseError(f"{path}:{lineno}: negative element count {count}")
+            elements.append({"name": tokens[1], "count": count, "props": []})
         elif tokens[0] == "property":
             if not elements:
                 raise MeshParseError(f"{path}:{lineno}: property before any element")
@@ -297,23 +305,40 @@ def _ply_faces_binary(path, elem, data, offset):
     props = elem["props"]
     if len(props) != 1 or props[0][0] != "list":
         raise MeshParseError(f"{path}: face element must have a single list property")
+    if not {props[0][1], props[0][2]} <= _PLY_INT_TYPES:
+        raise MeshParseError(
+            f"{path}: face list types must be integers, got {props[0][1]!r} {props[0][2]!r}"
+        )
     count_t = np.dtype("<" + _PLY_TYPES[props[0][1]])
     index_t = np.dtype("<" + _PLY_TYPES[props[0][2]])
-    tris = np.empty((elem["count"], 3), dtype=np.int64)
-    for i in range(elem["count"]):
-        if offset + count_t.itemsize > len(data):
-            raise MeshParseError(f"{path}: face data truncated at byte {offset}")
-        n = int(np.frombuffer(data, dtype=count_t, count=1, offset=offset)[0])
-        offset += count_t.itemsize
-        if n != 3:
-            raise MeshParseError(
-                f"{path}: face {i} at byte {offset} has {n} vertices; only triangles supported"
-            )
-        if offset + 3 * index_t.itemsize > len(data):
-            raise MeshParseError(f"{path}: face data truncated at byte {offset}")
-        tris[i] = np.frombuffer(data, dtype=index_t, count=3, offset=offset)
-        offset += 3 * index_t.itemsize
-    return tris, offset
+    # Only triangles are supported, so every record has the same packed
+    # layout and the whole block is one structured array. Errors report
+    # the first bad or incomplete record at the byte a sequential reader
+    # would have reached.
+    record = np.dtype([("n", count_t), ("idx", index_t, 3)])
+    count = elem["count"]
+    complete = min(count, (len(data) - offset) // record.itemsize)
+    faces = np.frombuffer(data, dtype=record, count=complete, offset=offset)
+    bad = np.flatnonzero(faces["n"] != 3)
+    if len(bad):
+        i = int(bad[0])
+        raise _non_triangle(path, i, int(faces["n"][i]),
+                            offset + i * record.itemsize + count_t.itemsize)
+    if complete < count:
+        at = offset + complete * record.itemsize
+        if at + count_t.itemsize <= len(data):
+            n = int(np.frombuffer(data, dtype=count_t, count=1, offset=at)[0])
+            at += count_t.itemsize
+            if n != 3:
+                raise _non_triangle(path, complete, n, at)
+        raise MeshParseError(f"{path}: face data truncated at byte {at}")
+    return faces["idx"].astype(np.int64), offset + count * record.itemsize
+
+
+def _non_triangle(path, i, n, byte) -> MeshParseError:
+    return MeshParseError(
+        f"{path}: face {i} at byte {byte} has {n} vertices; only triangles supported"
+    )
 
 
 def _save_ply(mesh: TriangleMesh, path: str, binary: bool) -> None:

@@ -15,7 +15,12 @@ from spinerecon.evaluation import (
     write_report_csv,
     write_report_json,
 )
-from spinerecon.mesh import SurfaceIndex, transform_mesh
+from spinerecon.mesh import (
+    LABEL_VERTEBRAL_BODY,
+    SurfaceIndex,
+    TriangleMesh,
+    transform_mesh,
+)
 from spinerecon.registration import compute_frame
 from spinerecon.spine import SpineModel
 from spinerecon.synthetic import (
@@ -46,6 +51,24 @@ class TestPointToModel:
         small = sheet_mesh(10, 10, nx=6, ny=6, center=(0, 0, 1.0))
         big = sheet_mesh(100, 100, nx=12, ny=12)
         assert point_to_model_distance(small, SurfaceIndex(big)) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSurfaceIndexBatchIndependence:
+    """A query point's result must not depend on the rest of its batch."""
+
+    @pytest.mark.parametrize("offset_mm", [0.0, 3.0])
+    def test_masked_batch_equals_masked_result(self, offset_mm):
+        mesh, _, _ = generate_vertebra(default_vertebra_params("L3", tessellation_edge=3.0))
+        rng = np.random.default_rng(11)
+        direction = rng.normal(size=mesh.vertices.shape)
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        pts = mesh.vertices + offset_mm * direction
+        mask = mesh.labels == LABEL_VERTEBRAL_BODY
+        index = SurfaceIndex(mesh)
+        whole = index.query(pts)
+        part = index.query(pts[mask])
+        for k in (0, 1):
+            np.testing.assert_array_equal(whole[k][mask], part[k])
 
 
 class TestLandmarkMae:
@@ -210,6 +233,29 @@ class TestEvaluateReconstruction:
         assert report.p2m_full_mean == pytest.approx(report.p2m_full["L3"] / 5.0, rel=1e-9)
         assert report.landmark_mae_per_level["L3"] == pytest.approx(2.0)
         assert report.p2m_full["L3"] == pytest.approx(1.1488, abs=2e-3)  # regression pin
+
+    def test_p2m_matches_point_to_model_distance_bitwise(self, spine):
+        rng = np.random.default_rng(5)
+        moved = SpineModel(tuple(
+            v.with_(mesh=transform_mesh(v.mesh, random_rigid(rng, 4.0, 1.5)))
+            for v in spine.vertebrae))
+        unlabeled = SpineModel(tuple(
+            v.with_(mesh=TriangleMesh(v.mesh.vertices, v.mesh.triangles))
+            for v in moved.vertebrae))
+        for registered in (moved, unlabeled):
+            report = evaluate_reconstruction(registered, spine, None)
+            for reg_v, gt_v in zip(registered.vertebrae, spine.vertebrae):
+                index = SurfaceIndex(gt_v.mesh)
+                full = point_to_model_distance(reg_v.mesh, index)
+                mask = None
+                if reg_v.mesh.labels is not None:
+                    mask = reg_v.mesh.labels == LABEL_VERTEBRAL_BODY
+                    assert 0 < mask.sum() < len(mask)
+                vb = point_to_model_distance(reg_v.mesh, index, vertex_mask=mask)
+                assert report.p2m_full[reg_v.level] == full > 0
+                assert report.p2m_vb[reg_v.level] == vb
+            if registered is unlabeled:
+                assert report.p2m_vb == report.p2m_full
 
     def test_level_mismatch_rejected(self, spine):
         with pytest.raises(ValueError, match="level mismatch"):

@@ -16,6 +16,7 @@ from spinerecon.mesh import (
     submesh_by_label,
     transform_mesh,
 )
+from spinerecon.synthetic import default_vertebra_params, generate_vertebra
 
 
 def tetrahedron(offset=(0.0, 0.0, 0.0)):
@@ -292,6 +293,17 @@ def test_median_edge_length_unit_grid():
     m = sheet_mesh(4, 4, nx=5, ny=5)
     # grid spacing 1: edges of length 1 and sqrt(2); median is 1
     assert median_edge_length(m) == pytest.approx(1.0)
+
+
+def test_median_edge_length_irregular_mesh_matches_row_unique():
+    mesh, _, _ = generate_vertebra(default_vertebra_params("L4", tessellation_edge=2.0))
+    rng = np.random.default_rng(3)
+    noisy = TriangleMesh(mesh.vertices + rng.normal(0.0, 0.3, mesh.vertices.shape),
+                         mesh.triangles)
+    edges = np.sort(noisy.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges = np.unique(edges, axis=0)
+    lengths = np.linalg.norm(noisy.vertices[edges[:, 0]] - noisy.vertices[edges[:, 1]], axis=1)
+    assert median_edge_length(noisy) == float(np.median(lengths))
 
 
 def test_surface_index_single_triangle():

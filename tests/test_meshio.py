@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinerecon.mesh import TriangleMesh
-from spinerecon.meshio import MeshParseError, load_mesh, save_mesh
+from spinerecon.meshio import (
+    _PLY_TYPES,
+    MeshParseError,
+    _ply_faces_binary,
+    load_mesh,
+    save_mesh,
+)
 from spinerecon.synthetic import default_vertebra_params, generate_vertebra
 
 
@@ -193,3 +201,149 @@ def test_unknown_extension_needs_explicit_format(tmp_path, labeled_mesh):
     save_mesh(labeled_mesh, path, format="ply")
     back = load_mesh(path, format="ply")
     np.testing.assert_array_equal(back.vertices, labeled_mesh.vertices)
+
+
+# ---------------------------------------------------------------------------
+# Binary PLY face block
+
+_TRI_PLY_VERTS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+
+
+def binary_ply(faces, count_type="uchar", index_type="int", counts=None) -> bytes:
+    """Binary PLY over four float vertices; counts[i] overrides face i's count."""
+    count_t = np.dtype("<" + _PLY_TYPES[count_type])
+    index_t = np.dtype("<" + _PLY_TYPES[index_type])
+    header = (
+        "ply\nformat binary_little_endian 1.0\n"
+        f"element vertex {len(_TRI_PLY_VERTS)}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        f"element face {len(faces)}\n"
+        f"property list {count_type} {index_type} vertex_indices\n"
+        "end_header\n"
+    ).encode()
+    body = np.asarray(_TRI_PLY_VERTS, dtype="<f4").tobytes()
+    for i, face in enumerate(faces):
+        n = len(face) if counts is None else counts[i]
+        body += np.array([n], dtype=count_t).tobytes()
+        body += np.asarray(face, dtype=index_t).tobytes()
+    return header + body
+
+
+def reference_faces_binary(path, count_t, index_t, count, data, offset):
+    """The per-face reader the vectorised parser must agree with."""
+    tris = np.empty((count, 3), dtype=np.int64)
+    for i in range(count):
+        if offset + count_t.itemsize > len(data):
+            raise MeshParseError(f"{path}: face data truncated at byte {offset}")
+        n = int(np.frombuffer(data, dtype=count_t, count=1, offset=offset)[0])
+        offset += count_t.itemsize
+        if n != 3:
+            raise MeshParseError(
+                f"{path}: face {i} at byte {offset} has {n} vertices; only triangles supported"
+            )
+        if offset + 3 * index_t.itemsize > len(data):
+            raise MeshParseError(f"{path}: face data truncated at byte {offset}")
+        tris[i] = np.frombuffer(data, dtype=index_t, count=3, offset=offset)
+        offset += 3 * index_t.itemsize
+    return tris, offset
+
+
+def _face_block_start(data: bytes) -> int:
+    body = data.find(b"\n", data.find(b"end_header")) + 1
+    return body + 12 * len(_TRI_PLY_VERTS)
+
+
+class TestPlyBinaryFaces:
+    def test_quad_face_names_index_and_byte(self, tmp_path):
+        data = binary_ply([(0, 1, 2), (0, 1, 2, 3), (1, 3, 2)])
+        path = tmp_path / "quad.ply"
+        path.write_bytes(data)
+        # face 1 starts after one 13-byte record; its indices follow the count byte
+        byte = _face_block_start(data) + 13 + 1
+        with pytest.raises(MeshParseError,
+                           match=rf"face 1 at byte {byte} has 4 vertices; only triangles"):
+            load_mesh(str(path))
+
+    @pytest.mark.parametrize("cut, inside", [(1, "indices"), (13, "count")])
+    def test_cut_inside_face_block_reports_truncation(self, tmp_path, cut, inside):
+        data = binary_ply([(0, 1, 2), (1, 3, 2)])
+        start = _face_block_start(data)
+        # cut=1 leaves face 0's count byte; cut=13 leaves exactly face 0
+        path = tmp_path / "cut.ply"
+        path.write_bytes(data[: start + cut])
+        byte = start + 1 if inside == "indices" else start + 13
+        with pytest.raises(MeshParseError, match=rf"face data truncated at byte {byte}$"):
+            load_mesh(str(path))
+
+    def test_uint8_uint32_list_round_trip(self, tmp_path):
+        faces = [(0, 1, 2), (1, 3, 2)]
+        path = tmp_path / "u8u32.ply"
+        path.write_bytes(binary_ply(faces, count_type="uint8", index_type="uint32"))
+        mesh = load_mesh(str(path))
+        assert mesh.triangles.dtype == np.int64
+        np.testing.assert_array_equal(mesh.triangles, faces)
+        np.testing.assert_array_equal(mesh.vertices, _TRI_PLY_VERTS)
+        save_mesh(mesh, str(tmp_path / "again.ply"))
+        np.testing.assert_array_equal(load_mesh(str(tmp_path / "again.ply")).triangles, faces)
+
+    def test_float_list_types_rejected(self, tmp_path):
+        path = tmp_path / "float.ply"
+        path.write_bytes(binary_ply([(0, 1, 2)], index_type="float"))
+        with pytest.raises(MeshParseError, match="face list types must be integers"):
+            load_mesh(str(path))
+
+    def test_negative_element_count_rejected(self, tmp_path):
+        data = binary_ply([(0, 1, 2)]).replace(b"element face 1", b"element face -1")
+        path = tmp_path / "neg.ply"
+        path.write_bytes(data)
+        with pytest.raises(MeshParseError, match="negative element count -1"):
+            load_mesh(str(path))
+
+
+_LIST_TYPES = [("uchar", "int"), ("uint8", "uint32"), ("char", "ushort"),
+               ("ushort", "uint"), ("int", "int16"), ("uint", "uchar")]
+
+
+@st.composite
+def face_blocks(draw):
+    count_type, index_type = draw(st.sampled_from(_LIST_TYPES))
+    count_t = np.dtype("<" + _PLY_TYPES[count_type])
+    index_t = np.dtype("<" + _PLY_TYPES[index_type])
+    info = np.iinfo(count_t)
+    n_faces = draw(st.integers(0, 40))
+    counts = [3] * n_faces
+    if n_faces and draw(st.booleans()):
+        # one face with any count the type holds, written with that many
+        # indices (at most 6) so later records shift as in a real file
+        counts[draw(st.integers(0, n_faces - 1))] = draw(
+            st.integers(int(info.min), min(int(info.max), 300)))
+    prefix = draw(st.binary(max_size=7))
+    block = prefix
+    for n in counts:
+        block += np.array([n], dtype=count_t).tobytes()
+        k = min(max(n, 0), 6)
+        idx = draw(st.lists(st.integers(0, 100), min_size=k, max_size=k))
+        block += np.asarray(idx, dtype=index_t).tobytes()
+    block += draw(st.binary(max_size=7))  # bytes of a following element
+    cut = draw(st.one_of(st.just(len(block)), st.integers(len(prefix), len(block))))
+    elem = {"name": "face", "count": n_faces,
+            "props": [("list", count_type, index_type, "vertex_indices")]}
+    return elem, block[:cut], len(prefix), count_t, index_t
+
+
+@settings(max_examples=300, deadline=None)
+@given(face_blocks())
+def test_vectorised_faces_match_reference_loop(case):
+    elem, data, offset, count_t, index_t = case
+    try:
+        expected = reference_faces_binary("f.ply", count_t, index_t, elem["count"],
+                                          data, offset)
+    except MeshParseError as exc:
+        with pytest.raises(MeshParseError) as got:
+            _ply_faces_binary("f.ply", elem, data, offset)
+        assert str(got.value) == str(exc)
+        return
+    tris, end = _ply_faces_binary("f.ply", elem, data, offset)
+    assert tris.dtype == np.int64
+    np.testing.assert_array_equal(tris, expected[0])
+    assert end == expected[1]
