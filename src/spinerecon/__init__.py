@@ -62,6 +62,7 @@ from .registration import (
     VertebraFrame,
     compute_frame,
     compute_registration,
+    detect_spine_landmarks,
     frame_to_transform,
     icp_rigid,
     register_spine,

@@ -13,16 +13,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
-from .anatomy import detect_vertebra_landmarks, fit_spine_curve
-from .config import PipelineConfig, build_config, dump_config
+from .config import build_config, dump_config
 from .evaluation import evaluate_reconstruction, write_report_csv, write_report_json
 from .facets import align_facets, facet_gap_summary
-from .mesh import center_of_mass
 from .meshio import load_mesh, save_mesh
-from .registration import detection_mesh, register_spine
+from .registration import detect_spine_landmarks, register_spine
 from .spine import (
     SpineModel,
     Vertebra,
@@ -74,36 +71,14 @@ def _mesh_files_in(directory: str) -> list[str]:
     return [os.path.join(directory, n) for n in names]
 
 
-def _load_spine(directory: str) -> SpineModel:
-    pairs = _collect_meshes(_mesh_files_in(directory), None)
+def _load_spine(pairs: list[tuple[str, str]]) -> SpineModel:
     return SpineModel(tuple(
         Vertebra(level=lvl, mesh=load_mesh(path)) for lvl, path in pairs
     ))
 
 
-def _detect_for_files(pairs, config: PipelineConfig, threads: int):
-    meshes = [load_mesh(path) for _, path in pairs]
-    detection = [detection_mesh(Vertebra(level=lvl, mesh=m))
-                 for (lvl, _), m in zip(pairs, meshes)]
-    tangents = [None] * len(detection)
-    if config.use_spine_curve and len(detection) >= 2:
-        curve = fit_spine_curve([center_of_mass(m) for m in detection])
-        tangents = list(curve.control_tangents())
-
-    def detect(i):
-        try:
-            return detect_vertebra_landmarks(
-                detection[i], curve_tangent=tangents[i],
-                orientation_hint=config.orientation_hint,
-                cos_threshold=config.cos_threshold,
-                slab_half_width=config.slab_half_width)
-        except Exception as e:
-            raise RuntimeError(f"{pairs[i][0]}: landmark detection failed: {e}") from e
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(detect, range(len(detection))))
-    return [detect(i) for i in range(len(detection))]
+def _load_spine_dir(directory: str) -> SpineModel:
+    return _load_spine(_collect_meshes(_mesh_files_in(directory), None))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +91,13 @@ def cmd_landmarks(args) -> int:
     if len(pairs) == 1:
         print("warning: single vertebra; axes fall back to the bounding box "
               "and orientation hint (reduced accuracy)", file=sys.stderr)
-    results = _detect_for_files(pairs, config, args.threads)
+    results = detect_spine_landmarks(
+        _load_spine(pairs),
+        orientation_hint=config.orientation_hint,
+        cos_threshold=config.cos_threshold,
+        slab_half_width=config.slab_half_width,
+        use_spine_curve=config.use_spine_curve,
+    )
     for (level, _), (_, landmarks) in zip(pairs, results):
         save_landmarks(os.path.join(args.out, f"landmarks_{level}.json"), level, landmarks)
     _emit("landmarks", levels=",".join(l for l, _ in pairs), out=args.out)
@@ -133,8 +114,8 @@ def cmd_reconstruct(args) -> int:
         overrides.append(f"output.format={args.format}")
     config = build_config(args.config, overrides)
 
-    atlas = _load_spine(args.atlas)
-    targets = _load_spine(args.targets)
+    atlas = _load_spine_dir(args.atlas)
+    targets = _load_spine_dir(args.targets)
     run = register_spine(
         atlas, targets, config.mode,
         orientation_hint=config.orientation_hint,
@@ -143,7 +124,6 @@ def cmd_reconstruct(args) -> int:
         use_spine_curve=config.use_spine_curve,
         icp_params=config.icp_params,
         seed=config.seed,
-        threads=args.threads,
     )
     spine = run.spine
     facets_state = "skipped"
@@ -172,8 +152,8 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = build_config(args.config, args.set)
-    registered = _load_spine(args.registered)
-    ground_truth = _load_spine(args.ground_truth)
+    registered = _load_spine_dir(args.registered)
+    ground_truth = _load_spine_dir(args.ground_truth)
 
     reg_landmarks = {}
     for level in registered.levels:
@@ -276,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("meshes", nargs="+", help="vertebral-body mesh files, one per level")
     p.add_argument("--out", required=True, help="output directory for landmark JSON files")
     p.add_argument("--levels", help="comma-separated level override, e.g. L1,L2,L3")
-    p.add_argument("--threads", type=int, default=1, help="worker cap for per-vertebra detection")
     _add_common(p)
     p.set_defaults(func=cmd_landmarks)
 
@@ -287,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["ours", "ours-icp", "icp", "icp-vb"])
     p.add_argument("--no-facets", action="store_true", help="skip facet-joint alignment")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=["ply", "stl", "obj"])
     _add_common(p)
     p.set_defaults(func=cmd_reconstruct)

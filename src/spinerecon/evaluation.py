@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,7 +183,6 @@ class RegistrationReport:
     ivd_mae: float | None = None
     fsu_mae: float | None = None
     elapsed_s: float | None = None
-    extras: dict = field(default_factory=dict)
 
     @property
     def p2m_vb_mean(self) -> float:
@@ -215,7 +214,6 @@ class RegistrationReport:
             "ivd_mae_mm": self.ivd_mae,
             "fsu_mae_deg": self.fsu_mae,
             "time_s": self.elapsed_s,
-            **self.extras,
         }
 
 

@@ -35,9 +35,10 @@ def _as_points(a, name="points"):
 class TriangleMesh:
     """Indexed triangle surface with optional per-vertex region labels.
 
-    labels, when present, hold one integer per vertex: 0 unlabeled,
-    1 vertebral body, 2-5 facet surfaces (superior-left, superior-right,
-    inferior-left, inferior-right).
+    Vertex coordinates must be finite. labels, when present, hold one
+    integer per vertex: 0 unlabeled, 1 vertebral body, 2-5 facet
+    surfaces (superior-left, superior-right, inferior-left,
+    inferior-right).
     """
 
     vertices: np.ndarray
@@ -49,6 +50,9 @@ class TriangleMesh:
         tris = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
         if verts.ndim != 2 or verts.shape[1] != 3:
             raise ValueError(f"vertices must have shape (n, 3), got {verts.shape}")
+        if not np.isfinite(verts).all():
+            bad = int(np.argwhere(~np.isfinite(verts))[0, 0])
+            raise ValueError(f"vertex {bad} has a non-finite coordinate")
         if tris.size == 0:
             tris = tris.reshape(0, 3)
         if tris.ndim != 2 or tris.shape[1] != 3:

@@ -54,11 +54,13 @@ def _resolve_format(path: str, format: str | None) -> str:
 def load_mesh(path: str, format: str | None = None) -> TriangleMesh:
     """Load a triangle mesh, auto-detecting the format from the extension."""
     fmt = _resolve_format(path, format)
-    if fmt == "stl":
-        return _load_stl(path)
-    if fmt == "ply":
-        return _load_ply(path)
-    return _load_obj(path)
+    loader = {"stl": _load_stl, "ply": _load_ply, "obj": _load_obj}[fmt]
+    try:
+        return loader(path)
+    except MeshParseError:
+        raise
+    except ValueError as e:
+        raise MeshParseError(f"{path}: {e}") from e
 
 
 def save_mesh(mesh: TriangleMesh, path: str, format: str | None = None,

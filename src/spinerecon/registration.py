@@ -15,7 +15,6 @@ the composition target_matrix @ inverse(source_matrix).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,30 +240,33 @@ def detection_mesh(vertebra: Vertebra) -> TriangleMesh:
     return mesh
 
 
-def _detect_all(spine: SpineModel, *, orientation_hint, cos_threshold,
-                slab_half_width, use_spine_curve,
-                threads: int = 1) -> list[tuple[AxesEstimate, LandmarkSet]]:
+def detect_spine_landmarks(spine: SpineModel, *, orientation_hint: AxesEstimate,
+                           cos_threshold: float, slab_half_width: float | None,
+                           use_spine_curve: bool) -> list[tuple[AxesEstimate, LandmarkSet]]:
+    """Axes and eight landmarks per level, in level order.
+
+    A vertebra that already carries landmarks and axes keeps them. With
+    use_spine_curve and two levels or more, each level's axes are
+    refined by the tangent of a spline through the body centers.
+    """
     meshes = [detection_mesh(v) for v in spine.vertebrae]
     tangents = [None] * len(meshes)
     if use_spine_curve and len(meshes) >= 2:
         curve = fit_spine_curve([center_of_mass(m) for m in meshes])
         tangents = list(curve.control_tangents())
 
-    def detect(i: int):
-        vertebra = spine.vertebrae[i]
+    results = []
+    for vertebra, mesh, tangent in zip(spine.vertebrae, meshes, tangents):
         if vertebra.landmarks is not None and vertebra.axes is not None:
-            return vertebra.axes, vertebra.landmarks
+            results.append((vertebra.axes, vertebra.landmarks))
+            continue
         try:
-            return detect_vertebra_landmarks(
-                meshes[i], curve_tangent=tangents[i], orientation_hint=orientation_hint,
-                cos_threshold=cos_threshold, slab_half_width=slab_half_width)
+            results.append(detect_vertebra_landmarks(
+                mesh, curve_tangent=tangent, orientation_hint=orientation_hint,
+                cos_threshold=cos_threshold, slab_half_width=slab_half_width))
         except Exception as e:
             raise RuntimeError(f"{vertebra.level}: landmark detection failed: {e}") from e
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(detect, range(len(meshes))))
-    return [detect(i) for i in range(len(meshes))]
+    return results
 
 
 def _sample_rows(points: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -280,8 +282,7 @@ def register_spine(atlas: SpineModel, targets: SpineModel, mode: str = "ours", *
                    slab_half_width: float | None = None,
                    use_spine_curve: bool = False,
                    icp_params: IcpParams | None = None,
-                   seed: int = 0,
-                   threads: int = 1) -> RegistrationRun:
+                   seed: int = 0) -> RegistrationRun:
     """Register complete atlas vertebrae onto vertebral-body targets.
 
     Modes:
@@ -305,15 +306,11 @@ def register_spine(atlas: SpineModel, targets: SpineModel, mode: str = "ours", *
     rng = np.random.default_rng(seed)
 
     t0 = time.perf_counter()
-    source_anatomy = _detect_all(
-        atlas, orientation_hint=orientation_hint, cos_threshold=cos_threshold,
-        slab_half_width=slab_half_width, use_spine_curve=use_spine_curve,
-        threads=threads)
+    detection = dict(orientation_hint=orientation_hint, cos_threshold=cos_threshold,
+                     slab_half_width=slab_half_width, use_spine_curve=use_spine_curve)
+    source_anatomy = detect_spine_landmarks(atlas, **detection)
     if mode in ("ours", "ours_icp"):
-        target_anatomy = _detect_all(
-            targets, orientation_hint=orientation_hint, cos_threshold=cos_threshold,
-            slab_half_width=slab_half_width, use_spine_curve=use_spine_curve,
-            threads=threads)
+        target_anatomy = detect_spine_landmarks(targets, **detection)
 
     registered = []
     transforms = []

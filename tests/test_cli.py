@@ -8,9 +8,17 @@ import numpy as np
 import pytest
 
 from spinerecon.cli import main
-from spinerecon.meshio import save_mesh
-from spinerecon.spine import load_landmarks
-from spinerecon.synthetic import default_vertebra_params, generate_vertebra
+from spinerecon.config import build_config
+from spinerecon.meshio import load_mesh, save_mesh
+from spinerecon.registration import detect_spine_landmarks
+from spinerecon.spine import SpineModel, Vertebra, level_from_filename, load_landmarks
+from spinerecon.synthetic import (
+    SpineParams,
+    default_vertebra_params,
+    generate_spine,
+    generate_vertebra,
+    make_registration_case,
+)
 
 
 def dir_digest(path):
@@ -53,6 +61,20 @@ class TestSynth:
         assert main(["synth", "--params", str(params), "--out", str(out)]) == 1
         assert "tilt" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def perturbed_targets(tmp_path_factory):
+    out = tmp_path_factory.mktemp("targets")
+    spine, _ = generate_spine(SpineParams(seed=3))
+    _, targets, _ = make_registration_case(
+        spine, rotation_deg=5.0, translation_mm=5.0, scale_range=(0.95, 1.1),
+        noise_sd=0.2, seed=2)
+    paths = []
+    for vertebra in targets.vertebrae:
+        paths.append(str(out / f"vertebra_{vertebra.level}.ply"))
+        save_mesh(vertebra.mesh, paths[-1])
+    return paths
 
 
 class TestLandmarks:
@@ -116,13 +138,35 @@ class TestLandmarks:
                      "--levels", "L1,L1"]) == 1
         assert "duplicate" in capsys.readouterr().err
 
-    def test_threads_flag_output_identical(self, synth_dir, tmp_path):
-        meshes = sorted(
-            os.path.join(synth_dir, n) for n in os.listdir(synth_dir) if n.endswith(".ply"))
-        a, b = str(tmp_path / "t1"), str(tmp_path / "t4")
-        assert main(["landmarks", *meshes, "--out", a]) == 0
-        assert main(["landmarks", *meshes, "--out", b, "--threads", "4"]) == 0
-        assert dir_digest(a) == dir_digest(b)
+    @pytest.mark.parametrize("use_curve", ["false", "true"])
+    def test_matches_library_detection(self, perturbed_targets, tmp_path, use_curve):
+        # the CLI and register_spine share one detection path; on these
+        # perturbed bodies the spine curve moves landmarks by millimeters
+        out = str(tmp_path / "lmk")
+        override = f"anatomy.use_spine_curve={use_curve}"
+        assert main(["landmarks", *perturbed_targets, "--out", out, "--set", override]) == 0
+        config = build_config(None, [override])
+        spine = SpineModel(tuple(
+            Vertebra(level=level_from_filename(os.path.basename(p)), mesh=load_mesh(p))
+            for p in perturbed_targets))
+        expected = detect_spine_landmarks(
+            spine, orientation_hint=config.orientation_hint,
+            cos_threshold=config.cos_threshold, slab_half_width=config.slab_half_width,
+            use_spine_curve=config.use_spine_curve)
+        for level, (_, want) in zip(spine.levels, expected):
+            _, got = load_landmarks(os.path.join(out, f"landmarks_{level}.json"))
+            np.testing.assert_array_equal(got.points(), want.points())
+
+    def test_nan_vertex_nonzero_exit_names_file(self, tmp_path, capsys):
+        bad = tmp_path / "vertebra_L1.ply"
+        bad.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
+            "property double y\nproperty double z\nelement face 1\n"
+            "property list uchar int vertex_indices\nend_header\n"
+            "0 0 0\n1 nan 0\n0 1 0\n3 0 1 2\n")
+        assert main(["landmarks", str(bad), "--out", str(tmp_path / "lmk")]) == 1
+        err = capsys.readouterr().err
+        assert "vertebra_L1.ply" in err and "vertex 1 " in err
 
     def test_detection_failure_names_level(self, tmp_path, capsys):
         # tilted plates cannot pass an extreme similarity threshold
@@ -282,3 +326,14 @@ def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "spinerecon.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["landmarks", "vertebra_L1.ply", "--out", "out"],
+    ["reconstruct", "--atlas", "atlas", "--targets", "targets", "--out", "out"],
+])
+def test_threads_flag_is_gone(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err

@@ -34,6 +34,13 @@ class TestTriangleMesh:
         with pytest.raises(ValueError, match="repeats"):
             TriangleMesh(np.eye(3), [[0, 1, 1]])
 
+    def test_non_finite_vertex_rejected(self):
+        v = np.eye(3)
+        v[1, 2] = np.nan
+        v[2, 0] = np.inf
+        with pytest.raises(ValueError, match="vertex 1 has a non-finite coordinate"):
+            TriangleMesh(v, [[0, 1, 2]])
+
     def test_label_length_checked(self):
         with pytest.raises(ValueError, match="labels"):
             TriangleMesh(np.eye(3), [[0, 1, 2]], labels=[1, 1])

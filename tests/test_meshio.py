@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +189,41 @@ class TestObj:
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf 1//1 2//1 3//1\n")
         mesh = load_mesh(str(path))
         np.testing.assert_array_equal(mesh.triangles, [[0, 1, 2]])
+
+
+@st.composite
+def random_meshes(draw):
+    n = draw(st.integers(3, 30))
+    coords = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=3 * n, max_size=3 * n))
+    tris = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True),
+                         min_size=1, max_size=40))
+    int32 = np.iinfo(np.int32)
+    labels = draw(st.lists(st.integers(int(int32.min), int(int32.max)), min_size=n, max_size=n))
+    return TriangleMesh(np.reshape(coords, (n, 3)), tris, labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_meshes(), st.sampled_from(["ply", "obj"]))
+def test_ascii_round_trip_is_exact(mesh, fmt):
+    # the text writers use %.17g, which reads back to the same double
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"m.{fmt}")
+        save_mesh(mesh, path, binary=False)
+        back = load_mesh(path)
+    np.testing.assert_array_equal(back.vertices, mesh.vertices)
+    np.testing.assert_array_equal(back.triangles, mesh.triangles)
+    if fmt == "ply":
+        np.testing.assert_array_equal(back.labels, mesh.labels)
+    else:
+        assert back.labels is None
+
+
+def test_non_finite_vertex_raises_parse_error_naming_file(tmp_path):
+    path = tmp_path / "bad.obj"
+    path.write_text("v 0 0 0\nv 1 0 inf\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(MeshParseError, match=r"bad\.obj: vertex 1 has a non-finite"):
+        load_mesh(str(path))
 
 
 def test_unwritable_path_raises_oserror(labeled_mesh, tmp_path):
