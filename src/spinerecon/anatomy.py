@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components as _graph_components
 
 from .mesh import (
     TriangleMesh,
@@ -31,6 +29,7 @@ from .mesh import (
     face_normals,
     median_edge_length,
     oriented_bounding_box,
+    pair_component_labels,
     triangle_adjacency,
 )
 
@@ -258,10 +257,7 @@ def extract_endplates(mesh: TriangleMesh, axes: AxesEstimate,
             member = grown
         # components of the dilated region; rank them by candidate count
         inside = member[adj_i] & member[adj_j]
-        m = mesh.n_triangles
-        graph = coo_matrix(
-            (np.ones(inside.sum()), (adj_i[inside], adj_j[inside])), shape=(m, m))
-        _, comp = _graph_components(graph, directed=False)
+        _, comp = pair_component_labels(mesh.n_triangles, adj_i[inside], adj_j[inside])
         counts = np.bincount(comp[candidate])
         winner = int(np.argmax(counts))
         return mesh.submesh(np.nonzero(candidate & (comp == winner))[0])

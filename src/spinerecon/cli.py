@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .config import build_config, dump_config
+from .config import build_config
 from .evaluation import evaluate_reconstruction, write_report_csv, write_report_json
 from .facets import align_facets, facet_gap_summary
 from .meshio import load_mesh, save_mesh
@@ -230,7 +230,7 @@ def cmd_synth(args) -> int:
 def cmd_config(args) -> int:
     config = build_config(args.config, args.set)
     if args.dump:
-        print(dump_config(config))
+        print(json.dumps(config.raw, indent=2))
     else:
         _emit("config", valid="true")
     return 0

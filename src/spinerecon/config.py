@@ -4,18 +4,21 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .anatomy import AxesEstimate
 from .registration import MODES, IcpParams
+from .spine import LEVELS, pair_name
 
 _AXIS_VECTORS = {
     "+x": (1.0, 0.0, 0.0), "-x": (-1.0, 0.0, 0.0),
     "+y": (0.0, 1.0, 0.0), "-y": (0.0, -1.0, 0.0),
     "+z": (0.0, 0.0, 1.0), "-z": (0.0, 0.0, -1.0),
 }
+_PAIR_NAMES = tuple(pair_name(upper, lower) for upper, lower in zip(LEVELS, LEVELS[1:]))
 
 DEFAULTS = {
     "axes": {"lateral": "+x", "anterior": "+y", "longitudinal": "+z"},
@@ -32,7 +35,7 @@ DEFAULTS = {
         "outlier_trim_fraction": 0.0,
     },
     "facet": {
-        "target_width_mm": 1.5,  # scalar or per-pair map like {"L1-L2": 1.5}
+        "target_width_mm": 1.5,  # or a map from each of "L1-L2" .. "L4-L5" to a width
         "falloff_radius_mm": 5.0,
         "max_passes": 5,
     },
@@ -42,66 +45,20 @@ DEFAULTS = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Validated view over the configuration tree."""
+    """Every value parsed and checked once by `build_config`; `raw` is the merged JSON."""
 
     raw: dict
-
-    @property
-    def orientation_hint(self) -> AxesEstimate:
-        axes = self.raw["axes"]
-        return AxesEstimate(
-            lateral=np.array(_AXIS_VECTORS[axes["lateral"]]),
-            anterior=np.array(_AXIS_VECTORS[axes["anterior"]]),
-            longitudinal=np.array(_AXIS_VECTORS[axes["longitudinal"]]),
-        )
-
-    @property
-    def cos_threshold(self) -> float:
-        return float(self.raw["anatomy"]["cos_threshold"])
-
-    @property
-    def slab_half_width(self) -> float | None:
-        v = self.raw["anatomy"]["slab_half_width_mm"]
-        return None if v is None else float(v)
-
-    @property
-    def use_spine_curve(self) -> bool:
-        return bool(self.raw["anatomy"]["use_spine_curve"])
-
-    @property
-    def mode(self) -> str:
-        return str(self.raw["registration"]["mode"])
-
-    @property
-    def seed(self) -> int:
-        return int(self.raw["registration"]["seed"])
-
-    @property
-    def icp_params(self) -> IcpParams:
-        icp = self.raw["icp"]
-        return IcpParams(
-            max_iterations=int(icp["max_iterations"]),
-            convergence_tol=float(icp["convergence_tol_mm"]),
-            sample_count=int(icp["sample_count"]),
-            outlier_trim_fraction=float(icp["outlier_trim_fraction"]),
-        )
-
-    @property
-    def facet_target_width(self):
-        v = self.raw["facet"]["target_width_mm"]
-        return dict(v) if isinstance(v, dict) else float(v)
-
-    @property
-    def facet_falloff_radius(self) -> float:
-        return float(self.raw["facet"]["falloff_radius_mm"])
-
-    @property
-    def facet_max_passes(self) -> int:
-        return int(self.raw["facet"]["max_passes"])
-
-    @property
-    def mesh_format(self) -> str:
-        return str(self.raw["output"]["format"])
+    orientation_hint: AxesEstimate
+    cos_threshold: float
+    slab_half_width: float | None
+    use_spine_curve: bool
+    mode: str
+    seed: int
+    icp_params: IcpParams
+    facet_target_width: float | dict[str, float]
+    facet_falloff_radius: float
+    facet_max_passes: int
+    mesh_format: str
 
 
 def _merge(base: dict, override: dict, path="") -> dict:
@@ -116,68 +73,110 @@ def _merge(base: dict, override: dict, path="") -> dict:
     return out
 
 
-def _coerce(value: str):
+def _reject(key: str, requirement: str, value) -> ValueError:
+    return ValueError(f"{key} must be {requirement}, got {json.dumps(value)}")
+
+
+def _boolean(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise _reject(key, "true or false", value)
+    return value
+
+
+def _integer(value, key: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise _reject(key, f"an integer >= {minimum}", value)
+    return value
+
+
+def _number(value, key: str, requirement="a positive number", ok=lambda v: v > 0) -> float:
+    # abs(v) <= float max also rejects nan, +-inf and ints too large for a float
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max or not ok(value)):
+        raise _reject(key, requirement, value)
+    return float(value)
+
+
+def _choice(value, key: str, choices) -> str:
+    if not isinstance(value, str) or value not in choices:
+        raise _reject(key, f"one of {', '.join(choices)}", value)
+    return value
+
+
+def _orientation_hint(axes: dict) -> AxesEstimate:
+    vectors = {role: np.array(_AXIS_VECTORS[_choice(name, f"axes.{role}", _AXIS_VECTORS)])
+               for role, name in axes.items()}
     try:
-        return json.loads(value)
-    except json.JSONDecodeError:
-        return value
+        return AxesEstimate(**vectors)
+    except ValueError:
+        raise _reject("axes.lateral, axes.anterior and axes.longitudinal",
+                      "perpendicular with lateral x anterior = longitudinal", axes) from None
+
+
+def _target_width(value) -> float | dict[str, float]:
+    key = "facet.target_width_mm"
+    if not isinstance(value, dict):
+        return _number(value, key, "a positive number or a per-pair map")
+    if sorted(value) != sorted(_PAIR_NAMES):
+        raise _reject(key, f"a map with exactly the keys {', '.join(_PAIR_NAMES)}", sorted(value))
+    return {pair: _number(width, f"{key}.{pair}") for pair, width in value.items()}
+
+
+def _parse(raw: dict) -> PipelineConfig:
+    for name, section in raw.items():
+        if not isinstance(section, dict):
+            raise _reject(name, "a JSON object", section)
+    anatomy, registration, icp, facet = (raw[s] for s in ("anatomy", "registration", "icp", "facet"))
+    slab = anatomy["slab_half_width_mm"]
+    return PipelineConfig(
+        raw=raw,
+        orientation_hint=_orientation_hint(raw["axes"]),
+        cos_threshold=_number(anatomy["cos_threshold"], "anatomy.cos_threshold",
+                              "a number in (0, 1)", lambda v: 0 < v < 1),
+        slab_half_width=None if slab is None else _number(
+            slab, "anatomy.slab_half_width_mm", "null or a positive number"),
+        use_spine_curve=_boolean(anatomy["use_spine_curve"], "anatomy.use_spine_curve"),
+        mode=_choice(registration["mode"], "registration.mode", MODES),
+        seed=_integer(registration["seed"], "registration.seed", 0),
+        icp_params=IcpParams(
+            max_iterations=_integer(icp["max_iterations"], "icp.max_iterations", 1),
+            convergence_tol=_number(icp["convergence_tol_mm"], "icp.convergence_tol_mm"),
+            sample_count=_integer(icp["sample_count"], "icp.sample_count", 3),
+            outlier_trim_fraction=_number(
+                icp["outlier_trim_fraction"], "icp.outlier_trim_fraction",
+                "a number in [0, 1)", lambda v: 0 <= v < 1),
+        ),
+        facet_target_width=_target_width(facet["target_width_mm"]),
+        facet_falloff_radius=_number(facet["falloff_radius_mm"], "facet.falloff_radius_mm"),
+        facet_max_passes=_integer(facet["max_passes"], "facet.max_passes", 1),
+        mesh_format=_choice(raw["output"]["format"], "output.format", ("ply", "stl", "obj")),
+    )
 
 
 def build_config(config_path: str | None = None,
                  overrides: list[str] | None = None) -> PipelineConfig:
-    """Assemble and validate the configuration.
+    """Merge the defaults, a JSON config file and "section.key=value" overrides.
 
-    `overrides` are "section.key=value" strings; values are parsed as
-    JSON when possible, otherwise taken as strings. Everything is
-    validated against module preconditions before any work starts.
+    Override values are parsed as JSON when possible, otherwise taken as
+    strings. Every value is checked once; a rejection names the dotted key.
     """
     raw = copy.deepcopy(DEFAULTS)
     if config_path:
         with open(config_path) as fh:
-            raw = _merge(raw, json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(
+                f"config file {config_path} must hold a JSON object, got {json.dumps(loaded)}")
+        raw = _merge(raw, loaded)
     for item in overrides or []:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form key=value")
         dotted, value = item.split("=", 1)
-        keys = dotted.split(".")
-        node = raw
-        for key in keys[:-1]:
-            if key not in node or not isinstance(node[key], dict):
-                raise ValueError(f"unknown config section {dotted!r}")
-            node = node[key]
-        if keys[-1] not in node:
-            raise ValueError(f"unknown config key {dotted!r}")
-        node[keys[-1]] = _coerce(value)
-    config = PipelineConfig(raw)
-    validate_config(config)
-    return config
-
-
-def validate_config(config: PipelineConfig) -> None:
-    axes = config.raw["axes"]
-    for role in ("lateral", "anterior", "longitudinal"):
-        if axes[role] not in _AXIS_VECTORS:
-            raise ValueError(
-                f"axes.{role} must be one of {sorted(_AXIS_VECTORS)}, got {axes[role]!r}")
-    config.orientation_hint  # raises if not right-handed
-    if not 0.0 < config.cos_threshold < 1.0:
-        raise ValueError("anatomy.cos_threshold must lie in (0, 1)")
-    if config.slab_half_width is not None and config.slab_half_width <= 0:
-        raise ValueError("anatomy.slab_half_width_mm must be positive or null")
-    if config.mode not in MODES:
-        raise ValueError(f"registration.mode must be one of {MODES}")
-    config.icp_params  # validates itself
-    width = config.facet_target_width
-    values = width.values() if isinstance(width, dict) else [width]
-    if any(float(v) <= 0 for v in values):
-        raise ValueError("facet.target_width_mm must be positive")
-    if config.facet_falloff_radius <= 0:
-        raise ValueError("facet.falloff_radius_mm must be positive")
-    if config.facet_max_passes < 1:
-        raise ValueError("facet.max_passes must be >= 1")
-    if config.mesh_format not in ("ply", "stl", "obj"):
-        raise ValueError("output.format must be ply, stl, or obj")
-
-
-def dump_config(config: PipelineConfig) -> str:
-    return json.dumps(config.raw, indent=2)
+        try:
+            override = json.loads(value)
+        except json.JSONDecodeError:
+            override = value
+        for key in reversed(dotted.split(".")):
+            override = {key: override}
+        raw = _merge(raw, override)
+    return _parse(raw)

@@ -177,23 +177,17 @@ def align_facets(spine: SpineModel, target_width: float | dict = 1.5,
     error; passes repeat until the mean gap is on target and positive,
     or max_passes is reached (then a warning is logged, not raised).
     """
-    if isinstance(target_width, dict):
-        widths = dict(target_width)
-    else:
-        widths = None
-        scalar_width = float(target_width)
-        if scalar_width <= 0:
-            raise ValueError("target_width must be positive")
+    names = [pair_name(upper_v.level, lower_v.level) for upper_v, lower_v in spine.pairs()]
+    widths = target_width if isinstance(target_width, dict) else dict.fromkeys(names, target_width)
+    for name in names:
+        if name not in widths:
+            raise ValueError(f"target_width map is missing pair {name!r}")
+        if not 0 < float(widths[name]) < np.inf:
+            raise ValueError(f"target_width for {name} must be positive and finite, got {widths[name]}")
 
     meshes = {v.level: v.mesh for v in spine.vertebrae}
-    for upper_v, lower_v in spine.pairs():
-        name = pair_name(upper_v.level, lower_v.level)
-        if widths is not None:
-            if name not in widths:
-                raise ValueError(f"target_width map is missing pair {name!r}")
-            want = float(widths[name])
-        else:
-            want = scalar_width
+    for (upper_v, lower_v), name in zip(spine.pairs(), names):
+        want = float(widths[name])
         pairs = identify_facet_pairs(meshes[upper_v.level], meshes[lower_v.level])
         for pair in pairs:
             for _ in range(max_passes):

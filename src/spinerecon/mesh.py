@@ -120,8 +120,7 @@ def face_normals(mesh: TriangleMesh) -> np.ndarray:
     Zero-area triangles yield a zero normal, which marks them as
     degenerate; they are never fatal.
     """
-    tri = mesh.triangle_points()
-    n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    n = _face_cross(mesh)
     length = np.linalg.norm(n, axis=1)
     safe = np.where(length > 0.0, length, 1.0)
     out = n / safe[:, None]
@@ -130,9 +129,12 @@ def face_normals(mesh: TriangleMesh) -> np.ndarray:
 
 
 def face_areas(mesh: TriangleMesh) -> np.ndarray:
+    return 0.5 * np.linalg.norm(_face_cross(mesh), axis=1)
+
+
+def _face_cross(mesh: TriangleMesh) -> np.ndarray:
     tri = mesh.triangle_points()
-    n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    return 0.5 * np.linalg.norm(n, axis=1)
+    return np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
 
 
 def center_of_mass(mesh: TriangleMesh) -> np.ndarray:
@@ -173,12 +175,15 @@ def triangle_adjacency(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
     return tri_of_edge[:-1][same], tri_of_edge[1:][same]
 
 
+def pair_component_labels(n_triangles: int, i, j) -> tuple[int, np.ndarray]:
+    """Component count and a label per triangle of the graph with edges (i[k], j[k])."""
+    graph = coo_matrix((np.ones(len(i)), (i, j)), shape=(n_triangles, n_triangles))
+    return _graph_components(graph, directed=False)
+
+
 def triangle_component_labels(mesh: TriangleMesh) -> tuple[int, np.ndarray]:
     """Edge-connected component count and a label per triangle."""
-    m = mesh.n_triangles
-    i, j = triangle_adjacency(mesh)
-    graph = coo_matrix((np.ones(len(i)), (i, j)), shape=(m, m))
-    return _graph_components(graph, directed=False)
+    return pair_component_labels(mesh.n_triangles, *triangle_adjacency(mesh))
 
 
 def connected_components(mesh: TriangleMesh) -> list[TriangleMesh]:

@@ -184,12 +184,21 @@ def _load_ply(path: str) -> TriangleMesh:
         tokens = line.split()
         if not tokens or tokens[0] == "comment" or tokens[0] == "ply":
             continue
+        # "format F", "element NAME N", "property T NAME", "property list N_T I_T NAME"
+        needed = {"format": 2, "element": 3,
+                  "property": 5 if tokens[1:2] == ["list"] else 3}.get(tokens[0], 0)
+        if len(tokens) < needed:
+            raise MeshParseError(f"{path}:{lineno}: incomplete {tokens[0]} line {line!r}")
         if tokens[0] == "format":
             if tokens[1] not in ("ascii", "binary_little_endian"):
                 raise MeshParseError(f"{path}:{lineno}: unsupported PLY format {tokens[1]!r}")
             fmt = tokens[1]
         elif tokens[0] == "element":
-            count = int(tokens[2])
+            try:
+                count = int(tokens[2])
+            except ValueError:
+                raise MeshParseError(
+                    f"{path}:{lineno}: element count is not an integer in {line!r}") from None
             if count < 0:
                 raise MeshParseError(f"{path}:{lineno}: negative element count {count}")
             elements.append({"name": tokens[1], "count": count, "props": []})

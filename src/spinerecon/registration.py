@@ -318,23 +318,19 @@ def register_spine(atlas: SpineModel, targets: SpineModel, mode: str = "ours", *
         level = vertebra.level
         _, src_lms = source_anatomy[i]
         try:
+            affine = None
             if mode in ("ours", "ours_icp"):
                 _, tgt_lms = target_anatomy[i]
                 affine = compute_registration(compute_frame(src_lms), compute_frame(tgt_lms))
-                if mode == "ours":
-                    total = affine
-                else:
-                    body = detection_mesh(vertebra)
-                    pts = _sample_rows(body.vertices, icp_params.sample_count, rng)
-                    pts = apply_transform(affine, pts)
-                    index = SurfaceIndex(targets[i].mesh)
-                    refine = icp_rigid(pts, index, params=icp_params)
-                    total = refine.transform @ affine
+            if mode == "ours":
+                total = affine
             else:
                 source_mesh = vertebra.mesh if mode == "icp" else detection_mesh(vertebra)
                 pts = _sample_rows(source_mesh.vertices, icp_params.sample_count, rng)
-                index = SurfaceIndex(targets[i].mesh)
-                total = icp_rigid(pts, index, params=icp_params).transform
+                refine = icp_rigid(pts, SurfaceIndex(targets[i].mesh), init=affine,
+                                   params=icp_params)
+                # icp_rigid's transform acts on the affine-mapped points
+                total = refine.transform if affine is None else refine.transform @ affine
         except Exception as e:
             raise RuntimeError(f"{level}: {mode} registration failed: {e}") from e
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -320,6 +321,87 @@ class TestConfig:
     def test_bad_value_rejected(self, capsys):
         assert main(["config", "--set", "anatomy.cos_threshold=2.0"]) == 1
         assert "cos_threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, key", [
+        # values a coercing reader let through: "False" and "no" turned the
+        # curve on, fractions were truncated, true counted as one pass
+        ("anatomy.use_spine_curve=False", "anatomy.use_spine_curve"),
+        ("anatomy.use_spine_curve=no", "anatomy.use_spine_curve"),
+        ("icp.max_iterations=2.5", "icp.max_iterations"),
+        ("icp.sample_count=2000.9", "icp.sample_count"),
+        ("registration.seed=1.7", "registration.seed"),
+        ("facet.max_passes=true", "facet.max_passes"),
+        ('facet.target_width_mm={"L1-L2":1,"L1_L3":1,"L3-L4":1,"L4-L5":1}',
+         "facet.target_width_mm"),
+        # values that failed with a message naming no key
+        ("anatomy.cos_threshold=abc", "anatomy.cos_threshold"),
+        ('axes={"lateral":"+y"}', "axes.lateral"),
+        ("anatomy=5", "anatomy"),
+        # out of range, one or more per key
+        ("axes.lateral=+q", "axes.lateral"),
+        ("axes.anterior=+x", "axes.anterior"),
+        ("axes.longitudinal=-z", "axes.longitudinal"),
+        ("anatomy.cos_threshold=1.0", "anatomy.cos_threshold"),
+        ("anatomy.cos_threshold=NaN", "anatomy.cos_threshold"),
+        ("anatomy.slab_half_width_mm=0", "anatomy.slab_half_width_mm"),
+        ("anatomy.use_spine_curve=1", "anatomy.use_spine_curve"),
+        ("registration.mode=fast", "registration.mode"),
+        ("registration.seed=-1", "registration.seed"),
+        ("icp.max_iterations=0", "icp.max_iterations"),
+        ("icp.convergence_tol_mm=0", "icp.convergence_tol_mm"),
+        ("icp.sample_count=2", "icp.sample_count"),
+        ("icp.outlier_trim_fraction=1.0", "icp.outlier_trim_fraction"),
+        ("icp.outlier_trim_fraction=true", "icp.outlier_trim_fraction"),
+        ("facet.target_width_mm=0", "facet.target_width_mm"),
+        ("facet.target_width_mm=Infinity", "facet.target_width_mm"),
+        ('facet.target_width_mm={"L1-L2":-1,"L2-L3":1,"L3-L4":1,"L4-L5":1}',
+         "facet.target_width_mm.L1-L2"),
+        ("facet.falloff_radius_mm=-5", "facet.falloff_radius_mm"),
+        ("facet.max_passes=0", "facet.max_passes"),
+        ("output.format=vtk", "output.format"),
+        ("nope.x=1", "nope"),
+    ])
+    def test_rejection_names_key(self, override, key, capsys):
+        assert main(["config", "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"icp": 5}', "icp must be a JSON object"),
+        ("[1]", "must hold a JSON object"),
+        ('{"facet": {"max_passes": 2.0}}', "facet.max_passes"),
+        ('{"anatomy": {"nope": 1}}', "unknown config key 'anatomy.nope'"),
+    ])
+    def test_file_rejection_names_key(self, tmp_path, content, message, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(content)
+        assert main(["config", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_section_override_merges_like_a_file(self, capsys):
+        assert main(["config", "--dump", "--set", 'axes={"lateral":"+x"}']) == 0
+        assert json.loads(capsys.readouterr().out)["axes"] == {
+            "lateral": "+x", "anterior": "+y", "longitudinal": "+z"}
+
+    def test_dump_round_trips_through_config_file(self, tmp_path, capsys):
+        overrides = ["anatomy.use_spine_curve=true", "anatomy.slab_half_width_mm=1.25",
+                     "registration.mode=icp_vb", "icp.sample_count=500",
+                     'facet.target_width_mm={"L1-L2":2,"L2-L3":1.5,"L3-L4":1.5,"L4-L5":1}',
+                     'axes={"lateral":"-x","anterior":"-y","longitudinal":"+z"}']
+        assert main(["config", "--dump", *(a for o in overrides for a in ("--set", o))]) == 0
+        dumped = capsys.readouterr().out
+        path = tmp_path / "config.json"
+        path.write_text(dumped)
+        assert main(["config", "--dump", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == dumped
+        want, got = build_config(None, overrides), build_config(str(path))
+        for field in dataclasses.fields(want):
+            a, b = getattr(want, field.name), getattr(got, field.name)
+            if field.name == "orientation_hint":
+                np.testing.assert_array_equal(a.as_matrix(), b.as_matrix())
+            else:
+                assert a == b, field.name
+        assert want.use_spine_curve is True and want.facet_target_width["L4-L5"] == 1.0
 
 
 def test_console_entry_point():

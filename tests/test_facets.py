@@ -175,6 +175,13 @@ class TestAlignFacets:
         for report in facet_gap_summary(aligned)["L1-L2"].values():
             assert report["mean_gap_mm"] == pytest.approx(2.5, abs=0.2)
 
+    @pytest.mark.parametrize("width", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_width_rejected(self, width):
+        spine = fsu_with_gap(4.0)
+        for target in (width, {"L1-L2": width}):
+            with pytest.raises(ValueError, match="target_width for L1-L2 must be positive"):
+                align_facets(spine, target, 5.0, 5)
+
     def test_nonconvergence_logs_warning(self, caplog):
         spine = fsu_with_gap(4.0)
         with caplog.at_level(logging.WARNING, logger="spinerecon.facets"):

@@ -132,6 +132,25 @@ class TestPly:
         with pytest.raises(MeshParseError, match="unsupported PLY format"):
             load_mesh(str(path))
 
+    @pytest.mark.parametrize("line, lineno", [
+        ("format", 2),
+        ("element vertex", 3),
+        ("property", 4),
+        ("property list uchar", 10),
+        ("element vertex 3.5", 3),
+    ])
+    def test_malformed_header_line_names_file_and_line(self, tmp_path, line, lineno):
+        lines = ("ply\nformat ascii 1.0\nelement vertex 3\n"
+                 "property float x\nproperty float y\nproperty float z\n"
+                 "element face 1\ncomment faces\ncomment follow\n"
+                 "property list uchar int vertex_indices\n"
+                 "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n").split("\n")
+        lines[lineno - 1] = line
+        path = tmp_path / "bad.ply"
+        path.write_text("\n".join(lines))
+        with pytest.raises(MeshParseError, match=rf"bad\.ply:{lineno}: .*'{line}'"):
+            load_mesh(str(path))
+
     def test_truncated_binary_rejected(self, tmp_path, labeled_mesh):
         path = tmp_path / "m.ply"
         save_mesh(labeled_mesh, str(path))

@@ -1,20 +1,40 @@
+import json
 import logging
 import os
 import re
+import shlex
+import subprocess
+import sys
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
-def first_python_block() -> str:
+def first_block(language: str, containing: str = "") -> str:
     with open(README) as fh:
-        return re.search(r"```python\n(.*?)```", fh.read(), re.S).group(1)
+        blocks = re.findall(rf"```{language}\n(.*?)```", fh.read(), re.S)
+    return next(b for b in blocks if containing in b)
 
 
 def test_quick_start_recovers_ground_truth(caplog):
     namespace = {}
     with caplog.at_level(logging.WARNING):
-        exec(compile(first_python_block(), "README.md", "exec"), namespace)
+        exec(compile(first_block("python"), "README.md", "exec"), namespace)
     report = namespace["report"]
     assert report.landmark_mae_mean < 1e-6
     assert report.p2m_vb_mean < 1e-6
     assert not [r for r in caplog.records if "non-positive disc height" in r.getMessage()]
+
+
+def test_cli_block_runs(tmp_path):
+    # the documented synth -> landmarks -> reconstruct -> evaluate commands, as written
+    script = re.sub(r"^spinerecon\b", f"{shlex.quote(sys.executable)} -m spinerecon.cli",
+                    first_block("sh", "spinerecon synth"), flags=re.M)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(["sh", "-e", "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path / "data" / "landmarks")) == [
+        f"landmarks_L{i}.json" for i in range(1, 6)]
+    report = json.loads((tmp_path / "data" / "eval" / "report.json").read_text())
+    assert report["p2m_vb_mean_mm"] < 1e-9 and report["landmark_mae_mean_mm"] < 1e-9
+    assert json.loads(proc.stdout[proc.stdout.index("{"):])["facet"]["max_passes"] == 5
