@@ -87,7 +87,6 @@ def _load_spine_dir(directory: str) -> SpineModel:
 def cmd_landmarks(args) -> int:
     config = build_config(args.config, args.set)
     pairs = _collect_meshes(args.meshes, args.levels)
-    os.makedirs(args.out, exist_ok=True)
     if len(pairs) == 1:
         print("warning: single vertebra; axes fall back to the bounding box "
               "and orientation hint (reduced accuracy)", file=sys.stderr)
@@ -98,6 +97,7 @@ def cmd_landmarks(args) -> int:
         slab_half_width=config.slab_half_width,
         use_spine_curve=config.use_spine_curve,
     )
+    os.makedirs(args.out, exist_ok=True)
     for (level, _), (_, landmarks) in zip(pairs, results):
         save_landmarks(os.path.join(args.out, f"landmarks_{level}.json"), level, landmarks)
     _emit("landmarks", levels=",".join(l for l, _ in pairs), out=args.out)

@@ -163,7 +163,11 @@ def build_config(config_path: str | None = None,
     raw = copy.deepcopy(DEFAULTS)
     if config_path:
         with open(config_path) as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"--config {config_path}: invalid JSON at line {e.lineno} "
+                                 f"column {e.colno}: {e.msg}") from None
         if not isinstance(loaded, dict):
             raise ValueError(
                 f"config file {config_path} must hold a JSON object, got {json.dumps(loaded)}")

@@ -6,6 +6,7 @@ construction; every operation returns a new mesh.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,9 +312,11 @@ def _pair_dot(a, b):
 def closest_points_on_triangles(tri: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Exact closest point on triangle i to point i, vectorized over pairs.
 
-    Region classification follows Ericson's ClosestPtPointTriangle.
-    Degenerate (zero-area) triangles fall through the cascade and are
-    resolved as the closest point over their three edges.
+    Region classification follows Ericson's ClosestPtPointTriangle: each
+    pair is assigned the first Voronoi region whose test it passes, and
+    only that region's formula is evaluated on it. Degenerate (zero-area)
+    triangles pass no test and are resolved as the closest point over
+    their three edges.
     """
     tri = np.asarray(tri, dtype=np.float64).reshape(-1, 3, 3)
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
@@ -333,43 +336,45 @@ def closest_points_on_triangles(tri: np.ndarray, pts: np.ndarray) -> np.ndarray:
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
 
+    d43 = d4 - d3
+    d56 = d5 - d6
+    # Voronoi region of each pair; the first condition that holds wins
+    region = np.select(
+        [(d1 <= 0.0) & (d2 <= 0.0),
+         (d3 >= 0.0) & (d4 <= d3),
+         (d6 >= 0.0) & (d5 <= d6),
+         (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & (d1 - d3 != 0.0),
+         (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0) & (d2 - d6 != 0.0),
+         (va <= 0.0) & (d43 >= 0.0) & (d56 >= 0.0) & (d43 + d56 != 0.0),
+         va + vb + vc != 0.0],
+        np.arange(7, dtype=np.int8), default=np.int8(7))
+
     out = np.empty_like(pts)
-    done = np.zeros(len(pts), dtype=bool)
+    for r, corner in enumerate((a, b, c)):
+        rows = np.flatnonzero(region == r)
+        out[rows] = corner[rows]
 
-    def take(mask, value):
-        m = mask & ~done
-        if np.any(m):
-            out[m] = value[m]
-            done[m] = True
+    rows = np.flatnonzero(region == 3)
+    v = d1[rows] / (d1[rows] - d3[rows])
+    out[rows] = a[rows] + v[:, None] * ab[rows]
 
-    take((d1 <= 0.0) & (d2 <= 0.0), a)
-    take((d3 >= 0.0) & (d4 <= d3), b)
-    take((d6 >= 0.0) & (d5 <= d6), c)
+    rows = np.flatnonzero(region == 4)
+    v = d2[rows] / (d2[rows] - d6[rows])
+    out[rows] = a[rows] + v[:, None] * ac[rows]
 
-    den = d1 - d3
-    v = d1 / np.where(den != 0.0, den, 1.0)
-    take((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & (den != 0.0), a + v[:, None] * ab)
+    rows = np.flatnonzero(region == 5)
+    v = d43[rows] / (d43[rows] + d56[rows])
+    out[rows] = b[rows] + v[:, None] * (c[rows] - b[rows])
 
-    den = d2 - d6
-    v = d2 / np.where(den != 0.0, den, 1.0)
-    take((vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0) & (den != 0.0), a + v[:, None] * ac)
+    rows = np.flatnonzero(region == 6)
+    den = va[rows] + vb[rows] + vc[rows]
+    v = vb[rows] / den
+    w = vc[rows] / den
+    out[rows] = a[rows] + v[:, None] * ab[rows] + w[:, None] * ac[rows]
 
-    den = (d4 - d3) + (d5 - d6)
-    v = (d4 - d3) / np.where(den != 0.0, den, 1.0)
-    take(
-        (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0) & (den != 0.0),
-        b + v[:, None] * (c - b),
-    )
-
-    den = va + vb + vc
-    safe = np.where(den != 0.0, den, 1.0)
-    v = vb / safe
-    w = vc / safe
-    take(den != 0.0, a + v[:, None] * ab + w[:, None] * ac)
-
-    if not np.all(done):
+    rem = np.flatnonzero(region == 7)
+    if len(rem):
         # degenerate triangles: closest point over the three edges
-        rem = np.nonzero(~done)[0]
         best_d = np.full(len(rem), np.inf)
         best_p = np.empty((len(rem), 3))
         corners = tri[rem]
@@ -411,14 +416,17 @@ class SurfaceIndex:
     """Spatial acceleration structure for exact nearest-point queries.
 
     Triangles are grouped into two strata by bounding radius (fine
-    surface triangles versus coarse ones) with a k-d tree over the
-    centroids of each. A query first computes an exact upper bound from
-    a few nearest centroids, then widens each stratum's neighbor set
-    until the k-th centroid provably exceeds upper_bound + radius, and
-    finally evaluates the exact point-triangle kernel on the surviving
-    candidates. The bound guarantees the result equals a brute-force
-    scan over all triangles, including the smallest-triangle-index tie
-    break. Read-only queries are safe from multiple threads.
+    surface triangles versus coarse ones), each with a k-d tree over
+    its centroids and every triangle's axis-aligned box. A query takes
+    an exact upper bound U, the distance to the nearest-centroid
+    triangle of each stratum, then makes one radius search per stratum
+    for centroids within U + max_radius + eps and keeps a triangle only
+    if its box lies within U + eps. A triangle at distance D <= U has
+    its centroid within D + max_radius and its box within D, so neither
+    step drops the nearest triangle or one tied with it (eps absorbs
+    round-off). The exact kernel runs on the kept pairs; each query takes
+    the least distance, ties to the smallest triangle index, exactly as
+    a brute-force scan. Read-only queries are safe from multiple threads.
     """
 
     _CHUNK = 8192
@@ -430,6 +438,9 @@ class SurfaceIndex:
         self._tri = mesh.triangle_points()
         centroids = self._tri.mean(axis=1)
         radii = np.linalg.norm(self._tri - centroids[:, None, :], axis=2).max(axis=1)
+        a, b, c = self._tri[:, 0], self._tri[:, 1], self._tri[:, 2]
+        lo = np.minimum(np.minimum(a, b), c)
+        hi = np.maximum(np.maximum(a, b), c)
         threshold = 2.0 * float(np.median(radii))
         strata_masks = [radii <= threshold]
         if np.any(~strata_masks[0]):
@@ -440,7 +451,8 @@ class SurfaceIndex:
             self._strata.append({
                 "ids": ids,
                 "tree": cKDTree(centroids[ids]),
-                "radii": radii[ids],
+                "lo": lo[ids],
+                "hi": hi[ids],
                 "max_radius": float(radii[ids].max()),
             })
 
@@ -465,48 +477,13 @@ class SurfaceIndex:
         return p[0], float(d[0])
 
     def _upper_bound(self, pts) -> np.ndarray:
-        """Exact distance to some triangle near each query (a valid upper bound)."""
+        """Exact distance to the nearest-centroid triangle of each stratum (an upper bound)."""
         upper = np.full(len(pts), np.inf)
         for stratum in self._strata:
-            k = min(4, len(stratum["ids"]))
-            _, near = stratum["tree"].query(pts, k=k)
-            near = near.reshape(len(pts), -1)
-            qi = np.repeat(np.arange(len(pts)), near.shape[1])
-            tids = stratum["ids"][near.ravel()]
-            cand = closest_points_on_triangles(self._tri[tids], pts[qi])
-            d = np.linalg.norm(cand - pts[qi], axis=1).reshape(len(pts), -1)
-            upper = np.minimum(upper, d.min(axis=1))
+            _, near = stratum["tree"].query(pts)
+            cand = closest_points_on_triangles(self._tri.take(stratum["ids"][near], axis=0), pts)
+            upper = np.minimum(upper, np.linalg.norm(cand - pts, axis=1))
         return upper
-
-    def _stratum_candidates(self, stratum, pts, upper, eps):
-        """(query, triangle) candidate pairs that could beat the upper bound."""
-        n = len(stratum["ids"])
-        tree = stratum["tree"]
-        pending = np.arange(len(pts))
-        pair_q: list[np.ndarray] = []
-        pair_t: list[np.ndarray] = []
-        k = min(8, n)
-        while len(pending):
-            d_c, near = tree.query(pts[pending], k=k)
-            d_c = d_c.reshape(len(pending), -1)
-            near = near.reshape(len(pending), -1)
-            settled = (d_c[:, -1] >= upper[pending] + stratum["max_radius"] + eps[pending]) \
-                | (k >= n)
-            rows = np.nonzero(settled)[0]
-            if len(rows):
-                qq = pending[rows]
-                d_sel = d_c[rows]
-                n_sel = near[rows]
-                valid = n_sel < n  # cKDTree pads missing neighbors with index n
-                local = np.where(valid, n_sel, 0)
-                bound = upper[qq][:, None] + stratum["radii"][local] + eps[qq][:, None]
-                keep = valid & (d_sel <= bound)
-                r, c = np.nonzero(keep)
-                pair_q.append(qq[r])
-                pair_t.append(stratum["ids"][local[r, c]])
-            pending = pending[~settled]
-            k = min(n, k * 4)
-        return pair_q, pair_t
 
     def _query_chunk(self, pts):
         upper = self._upper_bound(pts)
@@ -514,17 +491,35 @@ class SurfaceIndex:
         pair_q: list[np.ndarray] = []
         pair_t: list[np.ndarray] = []
         for stratum in self._strata:
-            q, t = self._stratum_candidates(stratum, pts, upper, eps)
-            pair_q.extend(q)
-            pair_t.extend(t)
+            near = stratum["tree"].query_ball_point(
+                pts, upper + stratum["max_radius"] + eps, return_sorted=False)
+            counts = np.fromiter(map(len, near), dtype=np.int64, count=len(pts))
+            local = np.fromiter(itertools.chain.from_iterable(near),
+                                dtype=np.int64, count=int(counts.sum()))
+            qi = np.repeat(np.arange(len(pts)), counts)
+            p = pts.take(qi, axis=0)  # take gathers rows faster than pts[qi]
+            # per-axis gap from the point to the triangle's box, 0 inside it
+            gap = np.maximum(stratum["lo"].take(local, axis=0) - p,
+                             p - stratum["hi"].take(local, axis=0))
+            np.maximum(gap, 0.0, out=gap)
+            keep = _pair_dot(gap, gap) <= ((upper + eps) ** 2).take(qi)
+            pair_q.append(qi[keep])
+            pair_t.append(stratum["ids"].take(local[keep]))
         qi = np.concatenate(pair_q)
         ti = np.concatenate(pair_t)
-        cand = closest_points_on_triangles(self._tri[ti], pts[qi])
-        d = np.linalg.norm(cand - pts[qi], axis=1)
-        # per query: min distance, ties to the smallest triangle index
-        order = np.lexsort((ti, d, qi))
-        first = np.unique(qi[order], return_index=True)[1]
-        best = order[first]
+        if len(pair_q) > 1:
+            # each stratum's pairs are grouped by query; timsort merges the two runs
+            order = np.argsort(qi, kind="stable")
+            qi = qi[order]
+            ti = ti[order]
+        p = pts.take(qi, axis=0)
+        cand = closest_points_on_triangles(self._tri.take(ti, axis=0), p)
+        d = np.linalg.norm(cand - p, axis=1)
+        # per query: least distance, ties to the smallest triangle index
+        starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
+        nearest = d == np.minimum.reduceat(d, starts)[qi]
+        first = np.minimum.reduceat(np.where(nearest, ti, len(self._tri)), starts)
+        best = np.flatnonzero(nearest & (ti == first[qi]))
         return cand[best], d[best]
 
 

@@ -378,6 +378,14 @@ class TestConfig:
         assert main(["config", "--config", str(path)]) == 1
         assert message in capsys.readouterr().err
 
+    def test_malformed_file_names_path_and_position(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{\n  "anatomy": {cos_threshold: 0.7}\n}\n')
+        assert main(["config", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "--config" in err and "line 2 column 15" in err
+        assert "Traceback" not in err
+
     def test_section_override_merges_like_a_file(self, capsys):
         assert main(["config", "--dump", "--set", 'axes={"lateral":"+x"}']) == 0
         assert json.loads(capsys.readouterr().out)["axes"] == {
@@ -402,6 +410,21 @@ class TestConfig:
             else:
                 assert a == b, field.name
         assert want.use_spine_curve is True and want.facet_target_width["L4-L5"] == 1.0
+
+
+@pytest.mark.parametrize("command", ["landmarks", "reconstruct", "evaluate"])
+def test_failing_input_leaves_no_out_directory(command, synth_dir, recon_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    missing = str(tmp_path / "missing")
+    argv = {
+        "landmarks": ["landmarks", os.path.join(missing, "vertebra_L1.ply")],
+        "reconstruct": ["reconstruct", "--atlas", synth_dir, "--targets", missing],
+        "evaluate": ["evaluate", "--registered", recon_dir, "--ground-truth", synth_dir,
+                     "--gt-landmarks", missing],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "missing" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_entry_point():

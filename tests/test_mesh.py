@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import box_mesh, oracle_closest_point, random_rigid, sheet_mesh
 from spinerecon.mesh import (
@@ -9,6 +11,7 @@ from spinerecon.mesh import (
     center_of_mass,
     closest_point_brute_force,
     closest_point_on_surface,
+    closest_points_on_triangles,
     connected_components,
     face_normals,
     median_edge_length,
@@ -329,3 +332,181 @@ def test_obb_of_planar_sheet():
     np.testing.assert_allclose(obb.half_extents[:2], [10, 5], atol=0.2)
     assert 0 < obb.half_extents[2] <= 1e-9
     np.testing.assert_allclose(np.abs(obb.axes[:, 2]), [0, 0, 1], atol=1e-9)
+
+
+def _points_on_edges(vertices, triangles, rng, n):
+    tri = vertices[triangles[rng.integers(0, len(triangles), n)]]
+    k = rng.integers(0, 3, n)
+    start, end = tri[np.arange(n), k], tri[np.arange(n), (k + 1) % 3]
+    t = np.where(rng.random(n) < 0.5, 0.5, rng.random(n))
+    return start + t[:, None] * (end - start)
+
+
+@st.composite
+def mixed_meshes(draw):
+    """Shared-vertex meshes of small and large triangles plus zero-area slivers."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_pool = draw(st.integers(6, 40))
+    verts = rng.uniform(-10.0, 10.0, (n_pool, 3))
+    if draw(st.booleans()):
+        # a coarse grid gives axis-aligned faces and exact distance ties
+        verts = np.round(verts * 0.5) * 2.0
+        verts = np.unique(verts, axis=0)
+        n_pool = len(verts)
+    gap = np.linalg.norm(verts[:, None] - verts[None], axis=2)
+    tris = [np.argsort(gap[i])[:3] for i in rng.integers(0, n_pool, draw(st.integers(1, 30)))]
+    tris += [rng.choice(n_pool, 3, replace=False) for _ in range(draw(st.integers(0, 6)))]
+    extra = []
+    for _ in range(draw(st.integers(0, 6))):
+        i, j, _k = tris[rng.integers(0, len(tris))]
+        new = n_pool + len(extra)
+        if rng.random() < 0.5:
+            extra.append(0.5 * (verts[i] + verts[j]))  # collinear corners
+        else:
+            extra.append(verts[i])  # coincident corners
+        tris.append(np.array([i, j, new]))
+    verts = np.vstack([verts, *extra]) if extra else verts
+    return TriangleMesh(verts, np.array(tris)), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_meshes())
+def test_surface_index_matches_brute_force_bit_for_bit(case):
+    mesh, rng = case
+    center = mesh.vertices.mean(axis=0)
+    size = float(np.ptp(mesh.vertices, axis=0).max()) or 1.0
+    far = rng.normal(size=(20, 3))
+    far *= 10.0 * size / np.linalg.norm(far, axis=1, keepdims=True)
+    queries = np.vstack([
+        mesh.vertices,
+        _points_on_edges(mesh.vertices, mesh.triangles, rng, 40),
+        rng.uniform(-12.0, 12.0, (40, 3)),
+        center + far,
+    ])
+    p_idx, d_idx = SurfaceIndex(mesh).query(queries)
+    p_ref, d_ref = closest_point_brute_force(mesh, queries)
+    np.testing.assert_array_equal(p_idx, p_ref)
+    np.testing.assert_array_equal(d_idx, d_ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.125, 4.0))
+def test_equidistant_parallel_triangles_resolve_to_smaller_index(seed, height):
+    # mirror images in z = +h and z = -h are exactly equidistant from z = 0;
+    # 20 congruent copies far above and below split the k-d tree (16
+    # points per leaf) at z = 0, so the radius search meets the twins in
+    # z order, and one of the two index orders disagrees with it
+    rng = np.random.default_rng(seed)
+    corners = np.c_[rng.uniform(-5.0, 5.0, (3, 2)), np.zeros(3)]
+    shifts = np.c_[rng.uniform(-3.0, 3.0, (10, 2)), height + rng.uniform(25.0, 35.0, 10)]
+    filler = [corners + shift * sign for shift in shifts for sign in (1.0, -1.0)]
+    queries = np.c_[rng.uniform(-7.0, 7.0, (30, 2)), np.zeros(30)]
+    queries[:3] = corners
+    queries[3] = corners.mean(axis=0)
+    for first in (height, -height):
+        verts = np.vstack([corners + [0.0, 0.0, first], corners - [0.0, 0.0, first], *filler])
+        mesh = TriangleMesh(verts, np.arange(len(verts)).reshape(-1, 3))
+        p_idx, d_idx = SurfaceIndex(mesh).query(queries)
+        p_ref, d_ref = closest_point_brute_force(mesh, queries)
+        np.testing.assert_array_equal(p_idx, p_ref)
+        np.testing.assert_array_equal(d_idx, d_ref)
+        assert np.all(p_idx[:, 2] == first)
+
+
+def reference_closest_points_on_triangles(tri, pts):
+    """The take-cascade form of the kernel: each region in turn claims its pairs."""
+    tri = np.asarray(tri, dtype=np.float64).reshape(-1, 3, 3)
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    ab = b - a
+    ac = c - a
+    ap = pts - a
+    d1 = np.einsum("ij,ij->i", ab, ap)
+    d2 = np.einsum("ij,ij->i", ac, ap)
+    bp = pts - b
+    d3 = np.einsum("ij,ij->i", ab, bp)
+    d4 = np.einsum("ij,ij->i", ac, bp)
+    cp = pts - c
+    d5 = np.einsum("ij,ij->i", ab, cp)
+    d6 = np.einsum("ij,ij->i", ac, cp)
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+
+    out = np.empty_like(pts)
+    done = np.zeros(len(pts), dtype=bool)
+
+    def take(mask, value):
+        m = mask & ~done
+        if np.any(m):
+            out[m] = value[m]
+            done[m] = True
+
+    take((d1 <= 0.0) & (d2 <= 0.0), a)
+    take((d3 >= 0.0) & (d4 <= d3), b)
+    take((d6 >= 0.0) & (d5 <= d6), c)
+
+    den = d1 - d3
+    v = d1 / np.where(den != 0.0, den, 1.0)
+    take((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & (den != 0.0), a + v[:, None] * ab)
+
+    den = d2 - d6
+    v = d2 / np.where(den != 0.0, den, 1.0)
+    take((vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0) & (den != 0.0), a + v[:, None] * ac)
+
+    den = (d4 - d3) + (d5 - d6)
+    v = (d4 - d3) / np.where(den != 0.0, den, 1.0)
+    take(
+        (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0) & (den != 0.0),
+        b + v[:, None] * (c - b),
+    )
+
+    den = va + vb + vc
+    safe = np.where(den != 0.0, den, 1.0)
+    v = vb / safe
+    w = vc / safe
+    take(den != 0.0, a + v[:, None] * ab + w[:, None] * ac)
+
+    if not np.all(done):
+        rem = np.nonzero(~done)[0]
+        best_d = np.full(len(rem), np.inf)
+        best_p = np.empty((len(rem), 3))
+        corners = tri[rem]
+        for k0, k1 in ((0, 1), (1, 2), (2, 0)):
+            e0, e1 = corners[:, k0], corners[:, k1]
+            seg = e1 - e0
+            seg_len2 = np.einsum("ij,ij->i", seg, seg)
+            t = np.einsum("ij,ij->i", pts[rem] - e0, seg) / np.where(seg_len2 > 0, seg_len2, 1.0)
+            t = np.clip(np.where(seg_len2 > 0, t, 0.0), 0.0, 1.0)
+            cand = e0 + t[:, None] * seg
+            d = np.linalg.norm(cand - pts[rem], axis=1)
+            better = d < best_d
+            best_d[better] = d[better]
+            best_p[better] = cand[better]
+        out[rem] = best_p
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_kernel_matches_take_cascade_bit_for_bit(seed, on_grid):
+    rng = np.random.default_rng(seed)
+    n = 400
+    tri = rng.uniform(-5.0, 5.0, (n, 3, 3))
+    if on_grid:
+        tri = np.round(tri)
+    # degenerate rows: collinear corners, two coincident corners, a point
+    tri[:40, 2] = tri[:40, 0] + rng.uniform(-2.0, 2.0, (40, 1)) * (tri[:40, 1] - tri[:40, 0])
+    tri[40:60, 1] = tri[40:60, 0]
+    tri[60:70, 1:] = tri[60:70, :1]
+    pts = rng.uniform(-8.0, 8.0, (n, 3))
+    if on_grid:
+        pts = np.round(pts)
+    corner = rng.integers(0, 3, n)
+    rows = np.arange(n)
+    pts[100:200] = tri[rows, corner][100:200]
+    t = np.where(rng.random(n) < 0.5, 0.5, rng.random(n))[:, None]
+    on_edge = tri[rows, corner] + t * (tri[rows, (corner + 1) % 3] - tri[rows, corner])
+    pts[200:300] = on_edge[200:300]
+    np.testing.assert_array_equal(closest_points_on_triangles(tri, pts),
+                                  reference_closest_points_on_triangles(tri, pts))
