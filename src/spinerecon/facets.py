@@ -158,7 +158,7 @@ def elastic_warp(mesh: TriangleMesh, region, displacement,
         raise ValueError("displacements must be finite")
 
     verts = mesh.vertices.copy()
-    others = np.setdiff1d(np.arange(mesh.n_vertices), region, assume_unique=False)
+    others = np.flatnonzero(np.bincount(region, minlength=mesh.n_vertices) == 0)
     if len(others) and len(region):
         d, _ = cKDTree(verts[region]).query(verts[others])
         weight = np.exp(-((d / falloff_radius) ** 2))

@@ -6,6 +6,7 @@ construction; every operation returns a new mesh.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -93,12 +94,20 @@ class TriangleMesh:
 
     def triangle_points(self) -> np.ndarray:
         """Triangle corner coordinates, shape (m, 3, 3)."""
-        return self.vertices[self.triangles]
+        return self.vertices.take(self.triangles, axis=0)
+
+    @functools.cached_property
+    def _face_cross(self) -> np.ndarray:
+        """(b - a) x (c - a) per triangle, computed once for normals and areas."""
+        a, b, c = (self.vertices.take(k, axis=0) for k in self.triangles.T)
+        cross = np.cross(b - a, c - a)
+        cross.flags.writeable = False
+        return cross
 
     def submesh(self, triangle_indices) -> "TriangleMesh":
         """Mesh restricted to the given triangles, vertices re-indexed compactly."""
         tri = self.triangles[np.asarray(triangle_indices, dtype=np.int64)]
-        used = np.unique(tri)
+        used = np.flatnonzero(np.bincount(tri.ravel(), minlength=self.n_vertices))
         remap = np.full(self.n_vertices, -1, dtype=np.int64)
         remap[used] = np.arange(len(used))
         labels = self.labels[used] if self.labels is not None else None
@@ -121,7 +130,7 @@ def face_normals(mesh: TriangleMesh) -> np.ndarray:
     Zero-area triangles yield a zero normal, which marks them as
     degenerate; they are never fatal.
     """
-    n = _face_cross(mesh)
+    n = mesh._face_cross
     length = np.linalg.norm(n, axis=1)
     safe = np.where(length > 0.0, length, 1.0)
     out = n / safe[:, None]
@@ -130,12 +139,7 @@ def face_normals(mesh: TriangleMesh) -> np.ndarray:
 
 
 def face_areas(mesh: TriangleMesh) -> np.ndarray:
-    return 0.5 * np.linalg.norm(_face_cross(mesh), axis=1)
-
-
-def _face_cross(mesh: TriangleMesh) -> np.ndarray:
-    tri = mesh.triangle_points()
-    return np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    return 0.5 * np.linalg.norm(mesh._face_cross, axis=1)
 
 
 def center_of_mass(mesh: TriangleMesh) -> np.ndarray:
@@ -144,36 +148,37 @@ def center_of_mass(mesh: TriangleMesh) -> np.ndarray:
     total = areas.sum()
     if total <= 0.0:
         raise ValueError("mesh has no triangles with positive area")
-    centroids = mesh.triangle_points().mean(axis=1)
-    return (areas[:, None] * centroids).sum(axis=0) / total
+    return (areas[:, None] * _centroids(mesh.triangle_points())).sum(axis=0) / total
+
+
+def _centroids(tri: np.ndarray) -> np.ndarray:
+    # mean(axis=1) over three corners adds a + b, then c, and divides by 3;
+    # the same two additions and division give the same bits without the reduction
+    return (tri[:, 0] + tri[:, 1] + tri[:, 2]) / 3.0
 
 
 def median_edge_length(mesh: TriangleMesh) -> float:
     """Median length over the unique undirected edges of the mesh."""
-    edges = _undirected_edges(mesh.triangles)
-    # i * n + j with i < j < n sorts like the rows of np.unique(axis=0)
-    n = mesh.n_vertices
-    first, second = np.divmod(np.unique(edges[:, 0] * n + edges[:, 1]), n)
+    keys = np.sort(_edge_keys(mesh))
+    first, second = np.divmod(keys[np.diff(keys, prepend=-1) != 0], mesh.n_vertices)
     lengths = np.linalg.norm(mesh.vertices[first] - mesh.vertices[second], axis=1)
     return float(np.median(lengths))
 
 
-def _undirected_edges(triangles: np.ndarray) -> np.ndarray:
-    edges = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    return np.sort(edges, axis=1)
+def _edge_keys(mesh: TriangleMesh) -> np.ndarray:
+    """Key i * n + j (i < j) per edge 0-1, 1-2, 2-0 of each triangle; sorts like (i, j) rows."""
+    tri, nxt = mesh.triangles, mesh.triangles[:, [1, 2, 0]]
+    return (np.minimum(tri, nxt) * mesh.n_vertices + np.maximum(tri, nxt)).ravel()
 
 
 def triangle_adjacency(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (i, j) of triangle indices sharing an edge (two vertex indices)."""
-    m = mesh.n_triangles
-    edges = _undirected_edges(mesh.triangles)
-    tri_of_edge = np.repeat(np.arange(m, dtype=np.int64), 3)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    edges = edges[order]
-    tri_of_edge = tri_of_edge[order]
-    same = np.all(edges[1:] == edges[:-1], axis=1)
-    # consecutive identical edges belong to adjacent triangles
-    return tri_of_edge[:-1][same], tri_of_edge[1:][same]
+    keys = _edge_keys(mesh)
+    # a stable sort keeps equal edges in triangle order, as lexsort on (i, j) rows did
+    order = np.argsort(keys, kind="stable")
+    same = np.diff(keys[order]) == 0
+    # consecutive identical edges belong to adjacent triangles; edge k lies on triangle k // 3
+    return order[:-1][same] // 3, order[1:][same] // 3
 
 
 def pair_component_labels(n_triangles: int, i, j) -> tuple[int, np.ndarray]:
@@ -237,11 +242,9 @@ class OrientedBoundingBox:
 
 
 def _vertex_area_weights(mesh: TriangleMesh) -> np.ndarray:
-    areas = face_areas(mesh)
-    w = np.zeros(mesh.n_vertices)
-    for k in range(3):
-        np.add.at(w, mesh.triangles[:, k], areas / 3.0)
-    return w
+    # bincount adds the weights of column 0, then 1, then 2, each in row order:
+    # the additions of np.add.at once per column, so every sum keeps its bits
+    return np.bincount(mesh.triangles.T.ravel(), np.tile(face_areas(mesh) / 3.0, 3), mesh.n_vertices)
 
 
 def oriented_bounding_box(mesh: TriangleMesh) -> OrientedBoundingBox:
@@ -263,8 +266,8 @@ def oriented_bounding_box(mesh: TriangleMesh) -> OrientedBoundingBox:
     if evals[1] <= 1e-12 * scale:
         raise ValueError("degenerate geometry: vertices are collinear")
 
-    proj = verts @ evecs
-    extents = 0.5 * (proj.max(axis=0) - proj.min(axis=0))
+    proj = (verts @ evecs).T.copy()  # a contiguous row reduces faster than a column
+    extents = 0.5 * (proj.max(axis=1) - proj.min(axis=1))
     order = np.argsort(-extents, kind="stable")
     axes = evecs[:, order]
     if np.linalg.det(axes) < 0:
@@ -274,8 +277,8 @@ def oriented_bounding_box(mesh: TriangleMesh) -> OrientedBoundingBox:
     traces = [np.trace(axes * np.array(f)) for f in flips]
     axes = axes * np.array(flips[int(np.argmax(traces))])
 
-    proj = verts @ axes
-    lo, hi = proj.min(axis=0), proj.max(axis=0)
+    proj = (verts @ axes).T.copy()
+    lo, hi = proj.min(axis=1), proj.max(axis=1)
     center = axes @ ((lo + hi) / 2.0)
     half = np.maximum((hi - lo) / 2.0, 1e-9)
     return OrientedBoundingBox(center, axes, half)
@@ -436,11 +439,13 @@ class SurfaceIndex:
             raise ValueError("cannot index a mesh with no triangles")
         self._mesh = mesh
         self._tri = mesh.triangle_points()
-        centroids = self._tri.mean(axis=1)
-        radii = np.linalg.norm(self._tri - centroids[:, None, :], axis=2).max(axis=1)
+        centroids = _centroids(self._tri)
         a, b, c = self._tri[:, 0], self._tri[:, 1], self._tri[:, 2]
+        radii = np.sqrt(np.max([_pair_dot(x - centroids, x - centroids) for x in (a, b, c)], axis=0))
         lo = np.minimum(np.minimum(a, b), c)
         hi = np.maximum(np.maximum(a, b), c)
+        # within this reach of a corner, per axis, no square or product the kernel forms overflows
+        self._reach = 1e150 / max(1.0, float(hi.max() - lo.min()))
         threshold = 2.0 * float(np.median(radii))
         strata_masks = [radii <= threshold]
         if np.any(~strata_masks[0]):
@@ -463,6 +468,10 @@ class SurfaceIndex:
     def query(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Exact nearest surface points and distances for a batch of queries."""
         pts = _as_points(points)
+        near = np.abs(pts - self._tri[0, 0]) <= self._reach  # False for NaN
+        if not near.all():
+            raise ValueError(f"query point {np.argmin(near.all(axis=1))} is not finite or lies "
+                             f"more than {self._reach:.3g} mm from the mesh along an axis")
         out_p = np.empty_like(pts)
         out_d = np.empty(len(pts))
         for start in range(0, len(pts), self._CHUNK):

@@ -510,3 +510,24 @@ def test_kernel_matches_take_cascade_bit_for_bit(seed, on_grid):
     pts[200:300] = on_edge[200:300]
     np.testing.assert_array_equal(closest_points_on_triangles(tri, pts),
                                   reference_closest_points_on_triangles(tri, pts))
+
+
+def test_face_cross_is_cached_and_read_only():
+    mesh = TriangleMesh(np.eye(3), [[0, 1, 2]])
+    assert mesh._face_cross is mesh._face_cross
+    with pytest.raises(ValueError):
+        mesh._face_cross[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e160, 1e300, -1e300])
+def test_surface_query_rejects_unanswerable_points_naming_the_row(bad):
+    mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], [[0, 1, 2], [1, 3, 2]])
+    index = SurfaceIndex(mesh)
+    points = np.zeros((5, 3))
+    points[3, 1] = bad
+    points[4, 0] = bad
+    with pytest.raises(ValueError, match="query point 3 is not finite or lies more than"):
+        index.query(points)
+    # the largest distances that stay finite still answer exactly
+    _, dist = index.query([[0.5, 0.5, 1e148]])
+    assert dist[0] == 1e148
