@@ -3,7 +3,7 @@ Endplate landmark detection
 ===========================
 
 The eight landmarks of a vertebral body come from its endplates: the
-local axes are estimated from an oriented bounding box, triangles
+local axes are the principal axes of the body surface, triangles
 whose normals align with the longitudinal axis form the plate
 candidates, a connectivity filter keeps the plate itself, and the
 outermost slab vertices along the anatomical planes become the
@@ -25,7 +25,7 @@ mesh, truth, _ = generate_vertebra(
     default_vertebra_params("L3", with_posterior=False))
 print(f"body mesh: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles")
 
-# step 1: local axes from the bounding box (the hint resolves identity/sign)
+# step 1: local axes from the principal axes (the hint resolves identity/sign)
 axes = estimate_axes(mesh, orientation_hint=PATIENT_AXES)
 print("lateral     ", axes.lateral.round(6))
 print("anterior    ", axes.anterior.round(6))

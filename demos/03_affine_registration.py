@@ -34,7 +34,7 @@ atlas, targets, true_transforms = make_registration_case(
 
 # drop the precomputed anatomy so the full detection pipeline runs
 bare = SpineModel(tuple(
-    v.with_(landmarks=None, axes=None, frame=None) for v in atlas.vertebrae))
+    v.with_(landmarks=None, axes=None) for v in atlas.vertebrae))
 
 run = register_spine(bare, targets, mode="ours")
 print(f"registered {len(run.spine)} levels in {run.elapsed_s * 1e3:.1f} ms\n")

@@ -31,7 +31,7 @@ atlas, targets, true_transforms = make_registration_case(
     spine, rotation_deg=6.0, translation_mm=6.0, scale_range=(0.95, 1.1),
     noise_sd=0.2, seed=19)
 bare = SpineModel(tuple(
-    v.with_(landmarks=None, axes=None, frame=None) for v in atlas.vertebrae))
+    v.with_(landmarks=None, axes=None) for v in atlas.vertebrae))
 
 ground_truth = SpineModel(tuple(
     v.with_(mesh=transform_mesh(v.mesh, T), landmarks=v.landmarks.transformed(T))

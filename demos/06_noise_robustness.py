@@ -28,7 +28,7 @@ for noise in (0.0, 0.1, 0.25, 0.5):
         spine, rotation_deg=15.0, translation_mm=20.0, scale_range=(0.9, 1.1),
         noise_sd=noise, seed=3)
     bare = SpineModel(tuple(
-        v.with_(landmarks=None, axes=None, frame=None) for v in atlas.vertebrae))
+        v.with_(landmarks=None, axes=None) for v in atlas.vertebrae))
     run = register_spine(bare, targets, "ours")
     errors = [
         landmark_mae(v.landmarks,

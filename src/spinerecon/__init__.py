@@ -15,6 +15,8 @@ from .anatomy import (
     LandmarkSet,
     PATIENT_AXES,
     SpineCurve,
+    VertebraFrame,
+    compute_frame,
     detect_landmarks,
     detect_vertebra_landmarks,
     estimate_axes,
@@ -42,15 +44,13 @@ from .facets import (
     measure_gap,
 )
 from .mesh import (
-    OrientedBoundingBox,
     SurfaceIndex,
     TriangleMesh,
     center_of_mass,
     closest_point_brute_force,
-    closest_point_on_surface,
     connected_components,
     face_normals,
-    oriented_bounding_box,
+    principal_axes,
     submesh_by_label,
     transform_mesh,
 )
@@ -59,8 +59,6 @@ from .registration import (
     IcpParams,
     IcpResult,
     RegistrationRun,
-    VertebraFrame,
-    compute_frame,
     compute_registration,
     detect_spine_landmarks,
     frame_to_transform,

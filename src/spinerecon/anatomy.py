@@ -1,4 +1,4 @@
-"""Vertebra anatomy: local axes, endplate extraction, landmark detection.
+"""Vertebra anatomy: local axes, endplate extraction, landmarks and their frame.
 
 Each vertebral body yields eight endplate landmarks, four per plate:
 left/right extremes of a coronal vertex slab and posterior/anterior
@@ -9,8 +9,8 @@ extremes of a sagittal slab. The numbering convention is
     l5 superior-posterior  l6 superior-anterior
     l7 inferior-posterior  l8 inferior-anterior
 
-which is the unique assignment that makes the frame construction in
-the registration module dimensionally consistent (left-right pairs
+which is the unique assignment that makes the frame construction
+(`compute_frame`) dimensionally consistent (left-right pairs
 feed the lateral basis vector, posterior-anterior pairs the anterior
 one, and plate-to-plate pairs the longitudinal one).
 """
@@ -28,8 +28,8 @@ from .mesh import (
     center_of_mass,
     face_normals,
     median_edge_length,
-    oriented_bounding_box,
     pair_component_labels,
+    principal_axes,
     triangle_adjacency,
 )
 
@@ -144,10 +144,74 @@ class LandmarkSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LandmarkSet":
-        try:
-            return cls(*(np.asarray(d[n], dtype=np.float64) for n in _LANDMARK_NAMES))
-        except KeyError as e:
-            raise ValueError(f"landmark dict is missing key {e.args[0]!r}") from None
+        points = []
+        for n in _LANDMARK_NAMES:
+            if n not in d:
+                raise ValueError(f"landmark dict is missing key {n!r}")
+            try:
+                points.append(np.asarray(d[n], dtype=np.float64).reshape(3))
+            except (TypeError, ValueError):
+                raise ValueError(f"landmark {n!r} must be 3 numbers, got {d[n]!r}") from None
+        return cls(*points)
+
+
+@dataclass(frozen=True)
+class VertebraFrame:
+    """Un-normalized local basis (x lateral, y anterior, z longitudinal) and center."""
+
+    x_g: np.ndarray
+    y_g: np.ndarray
+    z_g: np.ndarray
+    c_g: np.ndarray
+
+    def __post_init__(self):
+        for name in ("x_g", "y_g", "z_g", "c_g"):
+            v = np.asarray(getattr(self, name), dtype=np.float64).reshape(3)
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+        mags = self.scales
+        if np.any(mags < 1e-9):
+            raise ValueError(f"degenerate frame: basis magnitudes {mags}")
+        basis = np.column_stack([self.x_g / mags[0], self.y_g / mags[1], self.z_g / mags[2]])
+        if np.linalg.det(basis) <= 0:
+            raise ValueError("degenerate frame: left-handed basis")
+
+    @property
+    def scales(self) -> np.ndarray:
+        """Basis vector magnitudes (width, depth, height of the body)."""
+        return np.array([
+            np.linalg.norm(self.x_g),
+            np.linalg.norm(self.y_g),
+            np.linalg.norm(self.z_g),
+        ])
+
+    @property
+    def skew_degrees(self) -> float:
+        """Largest pairwise deviation of the basis axes from 90 degrees."""
+        mags = self.scales
+        u = [self.x_g / mags[0], self.y_g / mags[1], self.z_g / mags[2]]
+        worst = 0.0
+        for i in range(3):
+            for j in range(i + 1, 3):
+                ang = np.degrees(np.arccos(np.clip(u[i] @ u[j], -1.0, 1.0)))
+                worst = max(worst, abs(ang - 90.0))
+        return worst
+
+
+def compute_frame(landmarks: LandmarkSet) -> VertebraFrame:
+    """Vertebra frame from the eight landmarks.
+
+    x = ((l2-l1) + (l4-l3)) / 2
+    y = ((l6-l5) + (l8-l7)) / 2
+    z = ((l1-l3) + (l2-l4) + (l5-l7) + (l6-l8)) / 4
+    center = mean of all eight landmarks.
+    """
+    lm = landmarks
+    x_g = 0.5 * ((lm.l2 - lm.l1) + (lm.l4 - lm.l3))
+    y_g = 0.5 * ((lm.l6 - lm.l5) + (lm.l8 - lm.l7))
+    z_g = 0.25 * ((lm.l1 - lm.l3) + (lm.l2 - lm.l4) + (lm.l5 - lm.l7) + (lm.l6 - lm.l8))
+    c_g = lm.points().mean(axis=0)
+    return VertebraFrame(x_g, y_g, z_g, c_g)
 
 
 @dataclass(frozen=True)
@@ -185,16 +249,16 @@ def estimate_axes(mesh: TriangleMesh, curve_tangent=None,
     """Approximate the local anatomical axes of one vertebral body.
 
     The longitudinal direction is the supplied spine-curve tangent when
-    present, otherwise the OBB axis best aligned with the hint's
-    longitudinal. The remaining OBB axes take the lateral/anterior
+    present, otherwise the principal axis best aligned with the hint's
+    longitudinal. The remaining principal axes take the lateral/anterior
     roles by maximal alignment with the hint, then the triple is
     re-orthogonalized (longitudinal kept fixed) and signs are flipped
     into the hint hemispheres. The hint only disambiguates axis
     identity and sign; the output is orthonormal and right-handed even
     when the hint is wrong.
     """
-    obb = oriented_bounding_box(mesh)
-    axes = [obb.axes[:, k] for k in range(3)]
+    principal = principal_axes(mesh)
+    axes = [principal[:, k] for k in range(3)]
 
     if curve_tangent is not None:
         longitudinal = _unit(curve_tangent, "curve tangent")
@@ -222,16 +286,19 @@ def estimate_axes(mesh: TriangleMesh, curve_tangent=None,
     return AxesEstimate(lateral, anterior, longitudinal)
 
 
+# rings of non-candidate triangles that still join two endplate candidate regions
+_BRIDGE_HOPS = 2
+
+
 def extract_endplates(mesh: TriangleMesh, axes: AxesEstimate,
-                      cos_threshold: float = 0.8,
-                      bridge_hops: int = 2) -> tuple[TriangleMesh, TriangleMesh]:
+                      cos_threshold: float = 0.8) -> tuple[TriangleMesh, TriangleMesh]:
     """Superior and inferior endplate patches of a vertebral body.
 
     Triangles whose normal aligns with +/- longitudinal within
     cos_threshold are candidates; a connectivity filter keeps only the
     largest connected candidate region per plate, which removes small
     disconnected false-positive patches. Candidate regions separated by
-    at most `bridge_hops` rings of non-candidate triangles count as
+    at most two rings of non-candidate triangles count as
     connected (noisy segmentation normals puncture the candidate set),
     but regions with no mesh path between them are never merged. On a
     clean mesh the result is exactly the largest edge-connected
@@ -250,7 +317,7 @@ def extract_endplates(mesh: TriangleMesh, axes: AxesEstimate,
                 "check axes or lower the threshold"
             )
         member = candidate.copy()
-        for _ in range(bridge_hops):
+        for _ in range(_BRIDGE_HOPS):
             grown = member.copy()
             grown[adj_j[member[adj_i]]] = True
             grown[adj_i[member[adj_j]]] = True

@@ -23,10 +23,12 @@ from .registration import detect_spine_landmarks, register_spine
 from .spine import (
     SpineModel,
     Vertebra,
+    _read_json,
     level_from_filename,
     load_landmarks,
     save_landmarks,
     save_transforms,
+    write_json,
 )
 from .synthetic import SpineParams, VertebraParams, generate_spine
 
@@ -88,9 +90,9 @@ def cmd_landmarks(args) -> int:
     config = build_config(args.config, args.set)
     pairs = _collect_meshes(args.meshes, args.levels)
     if len(pairs) == 1:
-        print("warning: single vertebra; axes fall back to the bounding box "
+        print("warning: single vertebra; axes fall back to the principal axes "
               "and orientation hint (reduced accuracy)", file=sys.stderr)
-    results = detect_spine_landmarks(
+    detected = detect_spine_landmarks(
         _load_spine(pairs),
         orientation_hint=config.orientation_hint,
         cos_threshold=config.cos_threshold,
@@ -98,7 +100,7 @@ def cmd_landmarks(args) -> int:
         use_spine_curve=config.use_spine_curve,
     )
     os.makedirs(args.out, exist_ok=True)
-    for (level, _), (_, landmarks) in zip(pairs, results):
+    for (level, _), landmarks in zip(pairs, detected):
         save_landmarks(os.path.join(args.out, f"landmarks_{level}.json"), level, landmarks)
     _emit("landmarks", levels=",".join(l for l, _ in pairs), out=args.out)
     return 0
@@ -142,9 +144,7 @@ def cmd_reconstruct(args) -> int:
     save_transforms(os.path.join(args.out, "transforms.json"),
                     spine.levels, list(run.transforms))
     if facets_state == "aligned":
-        with open(os.path.join(args.out, "facet_gaps.json"), "w") as fh:
-            json.dump(facet_gap_summary(spine), fh, indent=2)
-            fh.write("\n")
+        write_json(os.path.join(args.out, "facet_gaps.json"), facet_gap_summary(spine))
     _emit("reconstruct", mode=config.mode, levels=len(spine),
           elapsed_s=f"{run.elapsed_s:.4f}", facets=facets_state, out=args.out)
     return 0
@@ -185,8 +185,7 @@ def cmd_evaluate(args) -> int:
     extras = {}
     gaps_path = os.path.join(args.registered, "facet_gaps.json")
     if os.path.exists(gaps_path):
-        with open(gaps_path) as fh:
-            extras["facet_gaps"] = json.load(fh)
+        extras["facet_gaps"] = _read_json(gaps_path, "facet gap file")
 
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "report.json")
@@ -201,15 +200,19 @@ def cmd_evaluate(args) -> int:
 def _spine_params_from_file(path: str | None, seed: int | None) -> SpineParams:
     if path is None:
         return SpineParams(seed=seed)
-    with open(path) as fh:
-        payload = json.load(fh)
-    vertebrae = tuple(VertebraParams(**entry) for entry in payload["levels"])
-    return SpineParams(
-        vertebrae=vertebrae,
-        ivd_heights=tuple(payload.get("ivd_heights", (5.0,) * (len(vertebrae) - 1))),
-        fsu_angles=tuple(payload.get("fsu_angles", (0.0,) * (len(vertebrae) - 1))),
-        seed=seed if seed is not None else payload.get("seed"),
-    )
+    payload = _read_json(path, "--params")
+    if not isinstance(payload, dict) or not isinstance(payload.get("levels"), list):
+        raise ValueError(f"--params {path} must hold a JSON object with a 'levels' list")
+    try:
+        vertebrae = tuple(VertebraParams(**entry) for entry in payload["levels"])
+        return SpineParams(
+            vertebrae=vertebrae,
+            ivd_heights=tuple(payload.get("ivd_heights", (5.0,) * (len(vertebrae) - 1))),
+            fsu_angles=tuple(payload.get("fsu_angles", (0.0,) * (len(vertebrae) - 1))),
+            seed=seed if seed is not None else payload.get("seed"),
+        )
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"--params {path}: {e}") from None
 
 
 def cmd_synth(args) -> int:
@@ -220,9 +223,7 @@ def cmd_synth(args) -> int:
         save_mesh(vertebra.mesh, os.path.join(args.out, f"vertebra_{vertebra.level}.ply"))
         save_landmarks(os.path.join(args.out, f"landmarks_{vertebra.level}.json"),
                        vertebra.level, vertebra.landmarks)
-    with open(os.path.join(args.out, "morphometrics.json"), "w") as fh:
-        json.dump(record.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "morphometrics.json"), record.to_dict())
     _emit("synth", levels=len(spine), out=args.out)
     return 0
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .anatomy import AxesEstimate
 from .registration import MODES, IcpParams
-from .spine import LEVELS, pair_name
+from .spine import LEVELS, _read_json, pair_name
 
 _AXIS_VECTORS = {
     "+x": (1.0, 0.0, 0.0), "-x": (-1.0, 0.0, 0.0),
@@ -32,7 +32,6 @@ DEFAULTS = {
         "max_iterations": 50,
         "convergence_tol_mm": 1e-4,
         "sample_count": 2000,
-        "outlier_trim_fraction": 0.0,
     },
     "facet": {
         "target_width_mm": 1.5,  # or a map from each of "L1-L2" .. "L4-L5" to a width
@@ -142,9 +141,6 @@ def _parse(raw: dict) -> PipelineConfig:
             max_iterations=_integer(icp["max_iterations"], "icp.max_iterations", 1),
             convergence_tol=_number(icp["convergence_tol_mm"], "icp.convergence_tol_mm"),
             sample_count=_integer(icp["sample_count"], "icp.sample_count", 3),
-            outlier_trim_fraction=_number(
-                icp["outlier_trim_fraction"], "icp.outlier_trim_fraction",
-                "a number in [0, 1)", lambda v: 0 <= v < 1),
         ),
         facet_target_width=_target_width(facet["target_width_mm"]),
         facet_falloff_radius=_number(facet["falloff_radius_mm"], "facet.falloff_radius_mm"),
@@ -162,12 +158,7 @@ def build_config(config_path: str | None = None,
     """
     raw = copy.deepcopy(DEFAULTS)
     if config_path:
-        with open(config_path) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"--config {config_path}: invalid JSON at line {e.lineno} "
-                                 f"column {e.colno}: {e.msg}") from None
+        loaded = _read_json(config_path, "--config")
         if not isinstance(loaded, dict):
             raise ValueError(
                 f"config file {config_path} must hold a JSON object, got {json.dumps(loaded)}")

@@ -15,16 +15,14 @@ and ground-truth landmarks):
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .anatomy import LandmarkSet
+from .anatomy import LandmarkSet, VertebraFrame, compute_frame
 from .mesh import LABEL_VERTEBRAL_BODY, SurfaceIndex, TriangleMesh
-from .registration import VertebraFrame, compute_frame
-from .spine import SpineModel, pair_name
+from .spine import SpineModel, pair_name, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -296,9 +294,7 @@ def write_report_json(report: RegistrationReport, path: str, extras: dict | None
     payload = report.to_dict()
     if extras:
         payload.update(extras)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def write_report_csv(reports, path: str) -> None:

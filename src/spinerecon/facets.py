@@ -128,12 +128,10 @@ def measure_gap(pair: FacetPair, upper: TriangleMesh, lower: TriangleMesh) -> Ga
     closest, dist = surface.query(queries)
     side = np.sign(np.einsum("ij,j->i", queries - closest, pair.contact_normal))
     signed = dist * np.where(side == 0.0, 1.0, side)
-    return GapReport(
-        mean_gap=float(signed.mean()),
-        min_gap=float(signed.min()),
-        max_gap=float(signed.max()),
-        sample_count=len(signed),
-    )
+    lo, hi = float(signed.min()), float(signed.max())
+    # the float mean of equal values can round past them
+    return GapReport(mean_gap=min(max(float(signed.mean()), lo), hi),
+                     min_gap=lo, max_gap=hi, sample_count=len(signed))
 
 
 def elastic_warp(mesh: TriangleMesh, region, displacement,

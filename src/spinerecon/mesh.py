@@ -210,48 +210,23 @@ def connected_components(mesh: TriangleMesh) -> list[TriangleMesh]:
     return [mesh.submesh(np.nonzero(comp == c)[0]) for c in comp_order]
 
 
-@dataclass(frozen=True)
-class OrientedBoundingBox:
-    """PCA-based oriented bounding box.
-
-    axes are mutually orthogonal unit vectors forming a right-handed
-    set, ordered so half_extents are sorted descending. Signs are
-    chosen deterministically: the right-handed flip combination with
-    the smallest rotation from the world axes (maximal trace).
-    """
-
-    center: np.ndarray
-    axes: np.ndarray  # (3, 3), columns are the box axes
-    half_extents: np.ndarray
-
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=np.float64).reshape(3)
-        axes = np.asarray(self.axes, dtype=np.float64).reshape(3, 3)
-        ext = np.asarray(self.half_extents, dtype=np.float64).reshape(3)
-        if np.max(np.abs(axes.T @ axes - np.eye(3))) > 1e-6:
-            raise ValueError("OBB axes are not orthonormal")
-        if np.linalg.det(axes) <= 0:
-            raise ValueError("OBB axes are not right-handed")
-        if np.any(ext <= 0):
-            raise ValueError("OBB half extents must be positive")
-        for a in (center, axes, ext):
-            a.flags.writeable = False
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "half_extents", ext)
-
-
 def _vertex_area_weights(mesh: TriangleMesh) -> np.ndarray:
     # bincount adds the weights of column 0, then 1, then 2, each in row order:
     # the additions of np.add.at once per column, so every sum keeps its bits
     return np.bincount(mesh.triangles.T.ravel(), np.tile(face_areas(mesh) / 3.0, 3), mesh.n_vertices)
 
 
-def oriented_bounding_box(mesh: TriangleMesh) -> OrientedBoundingBox:
-    """OBB from the area-weighted vertex covariance (principal axes)."""
+def principal_axes(mesh: TriangleMesh) -> np.ndarray:
+    """Principal axes of the area-weighted vertex covariance, as the columns of a 3x3.
+
+    Columns are ordered by the mesh's extent along them, largest first,
+    and form a right-handed set. Signs are chosen deterministically: the
+    right-handed flip combination with the smallest rotation from the
+    world axes (maximal trace).
+    """
     verts = mesh.vertices
     if len(verts) < 3:
-        raise ValueError("need at least 3 vertices for an oriented bounding box")
+        raise ValueError("need at least 3 vertices for principal axes")
     w = _vertex_area_weights(mesh)
     if w.sum() <= 0.0:
         w = np.ones(len(verts))
@@ -275,13 +250,7 @@ def oriented_bounding_box(mesh: TriangleMesh) -> OrientedBoundingBox:
     # deterministic signs: right-handed flip pair with maximal trace
     flips = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
     traces = [np.trace(axes * np.array(f)) for f in flips]
-    axes = axes * np.array(flips[int(np.argmax(traces))])
-
-    proj = (verts @ axes).T.copy()
-    lo, hi = proj.min(axis=1), proj.max(axis=1)
-    center = axes @ ((lo + hi) / 2.0)
-    half = np.maximum((hi - lo) / 2.0, 1e-9)
-    return OrientedBoundingBox(center, axes, half)
+    return axes * np.array(flips[int(np.argmax(traces))])
 
 
 def validate_transform(T) -> np.ndarray:
@@ -437,7 +406,6 @@ class SurfaceIndex:
     def __init__(self, mesh: TriangleMesh):
         if mesh.n_triangles == 0:
             raise ValueError("cannot index a mesh with no triangles")
-        self._mesh = mesh
         self._tri = mesh.triangle_points()
         centroids = _centroids(self._tri)
         a, b, c = self._tri[:, 0], self._tri[:, 1], self._tri[:, 2]
@@ -461,10 +429,6 @@ class SurfaceIndex:
                 "max_radius": float(radii[ids].max()),
             })
 
-    @property
-    def mesh(self) -> TriangleMesh:
-        return self._mesh
-
     def query(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Exact nearest surface points and distances for a batch of queries."""
         pts = _as_points(points)
@@ -480,10 +444,6 @@ class SurfaceIndex:
             out_p[start : start + self._CHUNK] = p
             out_d[start : start + self._CHUNK] = d
         return out_p, out_d
-
-    def query_one(self, point) -> tuple[np.ndarray, float]:
-        p, d = self.query(np.asarray(point, dtype=np.float64).reshape(1, 3))
-        return p[0], float(d[0])
 
     def _upper_bound(self, pts) -> np.ndarray:
         """Exact distance to the nearest-centroid triangle of each stratum (an upper bound)."""
@@ -531,7 +491,3 @@ class SurfaceIndex:
         best = np.flatnonzero(nearest & (ti == first[qi]))
         return cand[best], d[best]
 
-
-def closest_point_on_surface(index: SurfaceIndex, query) -> tuple[np.ndarray, float]:
-    """Exact nearest point on the indexed surface and its distance."""
-    return index.query_one(query)

@@ -1,12 +1,9 @@
 """Landmark-based affine registration and rigid ICP.
 
-The vertebra frame is built from the eight endplate landmarks: the
-lateral basis vector averages the two left-to-right landmark pairs,
-the anterior vector the two posterior-to-anterior pairs, and the
-longitudinal vector the four plate-to-plate pairs. The frame's
-homogeneous matrix is the normalized basis re-scaled by the vector
-magnitudes, deliberately without any orthogonalization, so the
-alignment can carry shear when the landmark-derived axes are not
+A vertebra frame (`compute_frame`, built from the eight endplate
+landmarks) gives a homogeneous matrix: the normalized basis re-scaled
+by the vector magnitudes, deliberately without any orthogonalization,
+so the alignment can carry shear when the landmark-derived axes are not
 perpendicular; `VertebraFrame.skew_degrees` reports how far from 90
 degrees the axes are. Registration of a source onto a target frame is
 the composition target_matrix @ inverse(source_matrix).
@@ -23,6 +20,8 @@ from .anatomy import (
     AxesEstimate,
     LandmarkSet,
     PATIENT_AXES,
+    VertebraFrame,
+    compute_frame,
     detect_vertebra_landmarks,
     fit_spine_curve,
 )
@@ -39,65 +38,6 @@ from .mesh import (
 from .spine import SpineModel, Vertebra
 
 MODES = ("ours", "ours_icp", "icp", "icp_vb")
-
-
-@dataclass(frozen=True)
-class VertebraFrame:
-    """Un-normalized local basis (x lateral, y anterior, z longitudinal) and center."""
-
-    x_g: np.ndarray
-    y_g: np.ndarray
-    z_g: np.ndarray
-    c_g: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x_g", "y_g", "z_g", "c_g"):
-            v = np.asarray(getattr(self, name), dtype=np.float64).reshape(3)
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
-        mags = self.scales
-        if np.any(mags < 1e-9):
-            raise ValueError(f"degenerate frame: basis magnitudes {mags}")
-        basis = np.column_stack([self.x_g / mags[0], self.y_g / mags[1], self.z_g / mags[2]])
-        if np.linalg.det(basis) <= 0:
-            raise ValueError("degenerate frame: left-handed basis")
-
-    @property
-    def scales(self) -> np.ndarray:
-        """Basis vector magnitudes (width, depth, height of the body)."""
-        return np.array([
-            np.linalg.norm(self.x_g),
-            np.linalg.norm(self.y_g),
-            np.linalg.norm(self.z_g),
-        ])
-
-    @property
-    def skew_degrees(self) -> float:
-        """Largest pairwise deviation of the basis axes from 90 degrees."""
-        mags = self.scales
-        u = [self.x_g / mags[0], self.y_g / mags[1], self.z_g / mags[2]]
-        worst = 0.0
-        for i in range(3):
-            for j in range(i + 1, 3):
-                ang = np.degrees(np.arccos(np.clip(u[i] @ u[j], -1.0, 1.0)))
-                worst = max(worst, abs(ang - 90.0))
-        return worst
-
-
-def compute_frame(landmarks: LandmarkSet) -> VertebraFrame:
-    """Vertebra frame from the eight landmarks.
-
-    x = ((l2-l1) + (l4-l3)) / 2
-    y = ((l6-l5) + (l8-l7)) / 2
-    z = ((l1-l3) + (l2-l4) + (l5-l7) + (l6-l8)) / 4
-    center = mean of all eight landmarks.
-    """
-    lm = landmarks
-    x_g = 0.5 * ((lm.l2 - lm.l1) + (lm.l4 - lm.l3))
-    y_g = 0.5 * ((lm.l6 - lm.l5) + (lm.l8 - lm.l7))
-    z_g = 0.25 * ((lm.l1 - lm.l3) + (lm.l2 - lm.l4) + (lm.l5 - lm.l7) + (lm.l6 - lm.l8))
-    c_g = lm.points().mean(axis=0)
-    return VertebraFrame(x_g, y_g, z_g, c_g)
 
 
 def frame_to_transform(frame: VertebraFrame) -> np.ndarray:
@@ -135,7 +75,6 @@ class IcpParams:
     max_iterations: int = 50
     convergence_tol: float = 1e-4  # mm change of mean correspondence distance
     sample_count: int = 2000
-    outlier_trim_fraction: float = 0.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -144,8 +83,6 @@ class IcpParams:
             raise ValueError("convergence_tol must be positive")
         if self.sample_count < 3:
             raise ValueError("sample_count must be >= 3")
-        if not 0.0 <= self.outlier_trim_fraction < 1.0:
-            raise ValueError("outlier_trim_fraction must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -195,18 +132,13 @@ def icp_rigid(source_points, target_index: SurfaceIndex,
     if init is not None:
         pts = apply_transform(init, pts)
 
-    n_keep = max(3, int(round(len(pts) * (1.0 - params.outlier_trim_fraction))))
     transform = np.eye(4)
     previous = transform
     history: list[float] = []
     for it in range(params.max_iterations):
         moved = apply_transform(transform, pts)
         closest, dist = target_index.query(moved)
-        if n_keep < len(pts):
-            keep = np.argsort(dist, kind="stable")[:n_keep]
-        else:
-            keep = slice(None)
-        mean_d = float(dist[keep].mean())
+        mean_d = float(dist.mean())
         if history and mean_d > history[-1]:
             transform = previous  # revert the step that made things worse
             break
@@ -215,7 +147,7 @@ def icp_rigid(source_points, target_index: SurfaceIndex,
             break
         if it < params.max_iterations - 1:
             previous = transform
-            transform = _fit_rigid(pts[keep], closest[keep])
+            transform = _fit_rigid(pts, closest)
     # the returned mean was measured at the returned transform
     return IcpResult(transform, history[-1], len(history), tuple(history))
 
@@ -242,10 +174,10 @@ def detection_mesh(vertebra: Vertebra) -> TriangleMesh:
 
 def detect_spine_landmarks(spine: SpineModel, *, orientation_hint: AxesEstimate,
                            cos_threshold: float, slab_half_width: float | None,
-                           use_spine_curve: bool) -> list[tuple[AxesEstimate, LandmarkSet]]:
-    """Axes and eight landmarks per level, in level order.
+                           use_spine_curve: bool) -> list[LandmarkSet]:
+    """Eight landmarks per level, in level order.
 
-    A vertebra that already carries landmarks and axes keeps them. With
+    A vertebra that already carries landmarks keeps them. With
     use_spine_curve and two levels or more, each level's axes are
     refined by the tangent of a spline through the body centers.
     """
@@ -257,15 +189,16 @@ def detect_spine_landmarks(spine: SpineModel, *, orientation_hint: AxesEstimate,
 
     results = []
     for vertebra, mesh, tangent in zip(spine.vertebrae, meshes, tangents):
-        if vertebra.landmarks is not None and vertebra.axes is not None:
-            results.append((vertebra.axes, vertebra.landmarks))
+        if vertebra.landmarks is not None:
+            results.append(vertebra.landmarks)
             continue
         try:
-            results.append(detect_vertebra_landmarks(
+            _, landmarks = detect_vertebra_landmarks(
                 mesh, curve_tangent=tangent, orientation_hint=orientation_hint,
-                cos_threshold=cos_threshold, slab_half_width=slab_half_width))
+                cos_threshold=cos_threshold, slab_half_width=slab_half_width)
         except Exception as e:
             raise RuntimeError(f"{vertebra.level}: landmark detection failed: {e}") from e
+        results.append(landmarks)
     return results
 
 
@@ -308,20 +241,20 @@ def register_spine(atlas: SpineModel, targets: SpineModel, mode: str = "ours", *
     t0 = time.perf_counter()
     detection = dict(orientation_hint=orientation_hint, cos_threshold=cos_threshold,
                      slab_half_width=slab_half_width, use_spine_curve=use_spine_curve)
-    source_anatomy = detect_spine_landmarks(atlas, **detection)
+    source_landmarks = detect_spine_landmarks(atlas, **detection)
     if mode in ("ours", "ours_icp"):
-        target_anatomy = detect_spine_landmarks(targets, **detection)
+        target_landmarks = detect_spine_landmarks(targets, **detection)
 
     registered = []
     transforms = []
     for i, vertebra in enumerate(atlas.vertebrae):
         level = vertebra.level
-        _, src_lms = source_anatomy[i]
+        src_lms = source_landmarks[i]
         try:
             affine = None
             if mode in ("ours", "ours_icp"):
-                _, tgt_lms = target_anatomy[i]
-                affine = compute_registration(compute_frame(src_lms), compute_frame(tgt_lms))
+                affine = compute_registration(compute_frame(src_lms),
+                                              compute_frame(target_landmarks[i]))
             if mode == "ours":
                 total = affine
             else:
@@ -334,12 +267,10 @@ def register_spine(atlas: SpineModel, targets: SpineModel, mode: str = "ours", *
         except Exception as e:
             raise RuntimeError(f"{level}: {mode} registration failed: {e}") from e
 
-        moved_lms = src_lms.transformed(total)
         registered.append(vertebra.with_(
             mesh=transform_mesh(vertebra.mesh, total),
-            landmarks=moved_lms,
+            landmarks=src_lms.transformed(total),
             axes=None,
-            frame=compute_frame(moved_lms),
         ))
         transforms.append(total)
     elapsed = time.perf_counter() - t0

@@ -5,15 +5,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .anatomy import AxesEstimate, LandmarkSet
+from .anatomy import AxesEstimate, LandmarkSet, VertebraFrame, compute_frame
 from .mesh import TriangleMesh
-
-if TYPE_CHECKING:
-    from .registration import VertebraFrame
 
 LEVELS = ("L1", "L2", "L3", "L4", "L5")
 
@@ -28,11 +24,15 @@ class Vertebra:
     mesh: TriangleMesh
     landmarks: LandmarkSet | None = None
     axes: AxesEstimate | None = None
-    frame: "VertebraFrame | None" = None
 
     def __post_init__(self):
         if self.level not in LEVELS:
             raise ValueError(f"unknown vertebra level {self.level!r}; expected one of {LEVELS}")
+
+    @property
+    def frame(self) -> VertebraFrame | None:
+        """The frame of the landmarks; None without landmarks."""
+        return None if self.landmarks is None else compute_frame(self.landmarks)
 
     def with_(self, **changes) -> "Vertebra":
         return replace(self, **changes)
@@ -65,12 +65,6 @@ class SpineModel:
     def __getitem__(self, i: int) -> Vertebra:
         return self.vertebrae[i]
 
-    def vertebra(self, level: str) -> Vertebra:
-        for v in self.vertebrae:
-            if v.level == level:
-                return v
-        raise KeyError(f"no vertebra at level {level!r}")
-
     def pairs(self) -> list[tuple[Vertebra, Vertebra]]:
         """Adjacent (upper, lower) vertebra pairs, superior first."""
         return list(zip(self.vertebrae[:-1], self.vertebrae[1:]))
@@ -91,23 +85,38 @@ def level_from_filename(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON schemas
+# JSON files
 
-def save_landmarks(path: str, level: str, landmarks: LandmarkSet) -> None:
-    """Write the landmark file schema: {"level": ..., "l1": [x,y,z], ...}."""
-    payload = {"level": level}
-    payload.update(landmarks.to_dict())
+def write_json(path: str, payload) -> None:
+    """Write payload as JSON indented by two spaces, ending in a newline."""
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
-def load_landmarks(path: str) -> tuple[str, LandmarkSet]:
+def _read_json(path: str, role: str):
+    """Parsed JSON of a file; a syntax error names the role, the file and the position."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if "level" not in payload:
-        raise ValueError(f"{path}: landmark file has no 'level' key")
-    return payload["level"], LandmarkSet.from_dict(payload)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{role} {path}: invalid JSON at line {e.lineno} "
+                             f"column {e.colno}: {e.msg}") from None
+
+
+def save_landmarks(path: str, level: str, landmarks: LandmarkSet) -> None:
+    """Write the landmark file schema: {"level": ..., "l1": [x,y,z], ...}."""
+    write_json(path, {"level": level, **landmarks.to_dict()})
+
+
+def load_landmarks(path: str) -> tuple[str, LandmarkSet]:
+    payload = _read_json(path, "landmark file")
+    if not isinstance(payload, dict) or "level" not in payload:
+        raise ValueError(f"landmark file {path} must hold a JSON object with a 'level' key")
+    try:
+        return payload["level"], LandmarkSet.from_dict(payload)
+    except ValueError as e:
+        raise ValueError(f"landmark file {path}: {e}") from None
 
 
 def save_transforms(path: str, levels: list[str], transforms: list[np.ndarray]) -> None:
@@ -118,9 +127,7 @@ def save_transforms(path: str, levels: list[str], transforms: list[np.ndarray]) 
         {"level": lvl, "matrix": [[float(x) for x in row] for row in np.asarray(T)]}
         for lvl, T in zip(levels, transforms)
     ]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_transforms(path: str) -> dict[str, np.ndarray]:

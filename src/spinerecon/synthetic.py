@@ -30,7 +30,6 @@ from .mesh import (
     submesh_by_label,
     transform_mesh,
 )
-from .registration import compute_frame
 from .spine import SpineModel, Vertebra, pair_name
 
 # Posterior-element layout (mm). The facet patches sit on a fixed
@@ -323,13 +322,11 @@ def generate_spine(params: SpineParams) -> tuple[SpineModel, MorphometricRecord]
     vertebrae = []
     for i, (p, (mesh, lms, axes)) in enumerate(zip(params.vertebrae, local)):
         placement = pose @ _rigid(orientations[i], centers[i])
-        moved_lms = lms.transformed(placement)
         vertebrae.append(Vertebra(
             level=p.level,
             mesh=transform_mesh(mesh, placement),
-            landmarks=moved_lms,
+            landmarks=lms.transformed(placement),
             axes=axes.rotated(placement[:3, :3]),
-            frame=compute_frame(moved_lms),
         ))
     spine = SpineModel(tuple(vertebrae))
 
@@ -383,8 +380,8 @@ def make_registration_case(spine: SpineModel, *, rotation_deg: float = 0.0,
         translation = rng.uniform(0.0, translation_mm) * direction
         scales = rng.uniform(lo, hi, 3)
 
-        if vertebra.axes is None or vertebra.frame is None:
-            raise ValueError(f"{vertebra.level}: spine lacks ground-truth axes/frame")
+        if vertebra.axes is None or vertebra.landmarks is None:
+            raise ValueError(f"{vertebra.level}: spine lacks ground-truth axes/landmarks")
         f = vertebra.axes.as_matrix()
         c = vertebra.frame.c_g
         linear = r3 @ (f @ np.diag(scales) @ f.T)

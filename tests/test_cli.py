@@ -154,7 +154,7 @@ class TestLandmarks:
             spine, orientation_hint=config.orientation_hint,
             cos_threshold=config.cos_threshold, slab_half_width=config.slab_half_width,
             use_spine_curve=config.use_spine_curve)
-        for level, (_, want) in zip(spine.levels, expected):
+        for level, want in zip(spine.levels, expected):
             _, got = load_landmarks(os.path.join(out, f"landmarks_{level}.json"))
             np.testing.assert_array_equal(got.points(), want.points())
 
@@ -442,3 +442,36 @@ def test_threads_flag_is_gone(command, capsys):
         main([*command, "--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, content, message", [
+    ("evaluate", {"l3": [1.0, 2.0]}, "'l3' must be 3 numbers"),
+    ("evaluate", "{", "invalid JSON at line 1 column 2"),
+    ("evaluate", [1, 2], "'level' key"),
+    ("synth", {}, "'levels' list"),
+    ("synth", [1, 2], "'levels' list"),
+    ("synth", "{", "invalid JSON at line 1 column 2"),
+    ("synth", {"levels": [{"level": "L1", "width": 40.0}]}, "'width'"),
+])
+def test_malformed_json_input_names_file(command, content, message, synth_dir, recon_dir,
+                                         tmp_path, capsys):
+    if command == "evaluate":
+        gt = tmp_path / "gt"
+        gt.mkdir()
+        for level in ("L1", "L2", "L3", "L4", "L5"):
+            name = f"landmarks_{level}.json"
+            (gt / name).write_bytes(open(os.path.join(synth_dir, name), "rb").read())
+        bad = gt / "landmarks_L3.json"
+        if isinstance(content, dict):
+            content = {**json.loads(bad.read_text()), **content}
+        argv = ["evaluate", "--registered", recon_dir, "--ground-truth", synth_dir,
+                "--gt-landmarks", str(gt)]
+    else:
+        bad = tmp_path / "params.json"
+        argv = ["synth", "--params", str(bad)]
+    bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err and "Traceback" not in err
+    assert not out.exists()

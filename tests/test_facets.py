@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from helpers import sheet_mesh
 from spinerecon.facets import (
     GapReport,
     align_facets,
@@ -11,7 +12,12 @@ from spinerecon.facets import (
     identify_facet_pairs,
     measure_gap,
 )
-from spinerecon.mesh import TriangleMesh
+from spinerecon.mesh import (
+    LABEL_FACET_INFERIOR_LEFT,
+    LABEL_FACET_SUPERIOR_LEFT,
+    TriangleMesh,
+)
+from spinerecon.spine import SpineModel, Vertebra
 from spinerecon.synthetic import (
     FACET_DROP_MM,
     SpineParams,
@@ -83,6 +89,23 @@ class TestMeasureGap:
         for pair in identify_facet_pairs(spine[0].mesh, spine[1].mesh):
             report = measure_gap(pair, spine[0].mesh, spine[1].mesh)
             assert abs(report.mean_gap) < 1e-9
+
+    def test_uniform_gap_reports_one_value(self):
+        # the float mean of nine copies of this gap rounds above it
+        gap = 1.7795540617506418
+
+        def patch(level, z, label):
+            sheet = sheet_mesh(8.0, 8.0, nx=3, ny=3, center=(0.0, 0.0, z))
+            labels = np.full(sheet.n_vertices, label)
+            return Vertebra(level, TriangleMesh(sheet.vertices, sheet.triangles, labels))
+
+        spine = SpineModel((patch("L1", gap, LABEL_FACET_INFERIOR_LEFT),
+                            patch("L2", 0.0, LABEL_FACET_SUPERIOR_LEFT)))
+        assert facet_gap_summary(spine)["L1-L2"]["left"] == {
+            "mean_gap_mm": gap, "min_gap_mm": gap, "max_gap_mm": gap, "sample_count": 9}
+        aligned = align_facets(spine, target_width=gap)
+        for before, after in zip(spine.vertebrae, aligned.vertebrae):
+            np.testing.assert_array_equal(after.mesh.vertices, before.mesh.vertices)
 
     def test_report_invariant_enforced(self):
         with pytest.raises(ValueError, match="min <= mean <= max"):

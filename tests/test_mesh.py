@@ -10,12 +10,11 @@ from spinerecon.mesh import (
     apply_transform,
     center_of_mass,
     closest_point_brute_force,
-    closest_point_on_surface,
     closest_points_on_triangles,
     connected_components,
     face_normals,
     median_edge_length,
-    oriented_bounding_box,
+    principal_axes,
     submesh_by_label,
     transform_mesh,
 )
@@ -148,12 +147,20 @@ class TestCenterOfMass:
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
+def extents(mesh, axes):
+    """Half extents of the mesh along each column of axes."""
+    proj = mesh.vertices @ axes
+    return 0.5 * (proj.max(axis=0) - proj.min(axis=0))
+
+
 class TestOrientedBoundingBox:
+    """principal_axes gives the axes of the oriented bounding box, longest extent first."""
+
     def test_axis_aligned_box(self):
-        obb = oriented_bounding_box(box_mesh(40, 30, 20))
-        np.testing.assert_allclose(obb.half_extents, [20, 15, 10], atol=1e-9)
-        np.testing.assert_allclose(np.abs(obb.axes), np.eye(3), atol=1e-9)
-        np.testing.assert_allclose(obb.center, [0, 0, 0], atol=1e-9)
+        m = box_mesh(40, 30, 20)
+        axes = principal_axes(m)
+        np.testing.assert_allclose(extents(m, axes), [20, 15, 10], atol=1e-9)
+        np.testing.assert_allclose(np.abs(axes), np.eye(3), atol=1e-9)
 
     def test_rotated_box_recovers_rotation(self):
         ang = np.radians(30.0)
@@ -164,47 +171,51 @@ class TestOrientedBoundingBox:
         ])
         T = np.eye(4)
         T[:3, :3] = R
-        obb = oriented_bounding_box(transform_mesh(box_mesh(40, 30, 20), T))
-        np.testing.assert_allclose(obb.half_extents, [20, 15, 10], atol=1e-6)
+        m = transform_mesh(box_mesh(40, 30, 20), T)
+        axes = principal_axes(m)
+        np.testing.assert_allclose(extents(m, axes), [20, 15, 10], atol=1e-6)
         expected = R @ np.eye(3)
         for k in range(3):
-            assert abs(abs(obb.axes[:, k] @ expected[:, k]) - 1.0) < 1e-6
+            assert abs(abs(axes[:, k] @ expected[:, k]) - 1.0) < 1e-6
 
     def test_coincident_vertices_error(self):
         m = TriangleMesh(np.zeros((3, 3)) + 2.0, [[0, 1, 2]])
         with pytest.raises(ValueError, match="degenerate"):
-            oriented_bounding_box(m)
+            principal_axes(m)
 
     def test_extents_rigid_invariant(self):
+        # the axes turn with the mesh, so the extents along them do not change
         rng = np.random.default_rng(11)
         m = box_mesh(40, 30, 20)
-        base = oriented_bounding_box(m).half_extents
+        base = extents(m, principal_axes(m))
         for _ in range(10):
-            obb = oriented_bounding_box(transform_mesh(m, random_rigid(rng)))
-            np.testing.assert_allclose(obb.half_extents, base, atol=1e-6)
+            moved = transform_mesh(m, random_rigid(rng))
+            np.testing.assert_allclose(extents(moved, principal_axes(moved)), base, atol=1e-6)
 
     def test_right_handed_and_sorted(self):
         rng = np.random.default_rng(3)
         m = box_mesh(13, 29, 7, center=(4, 5, 6))
         for _ in range(10):
-            obb = oriented_bounding_box(transform_mesh(m, random_rigid(rng)))
-            assert np.linalg.det(obb.axes) > 0
-            assert obb.half_extents[0] >= obb.half_extents[1] >= obb.half_extents[2]
+            moved = transform_mesh(m, random_rigid(rng))
+            axes = principal_axes(moved)
+            ext = extents(moved, axes)
+            assert np.linalg.det(axes) > 0
+            assert ext[0] >= ext[1] >= ext[2]
 
 
 class TestClosestPoint:
     def test_query_on_vertex_is_zero(self):
         v, t = tetrahedron()
         index = SurfaceIndex(TriangleMesh(v, t))
-        _, d = closest_point_on_surface(index, v[2])
-        assert d == 0.0
+        _, d = index.query(v[2])
+        assert d[0] == 0.0
 
     def test_point_above_triangle_interior(self):
         m = TriangleMesh([[-10, -10, 0], [10, -10, 0], [0, 10, 0]], [[0, 1, 2]])
         index = SurfaceIndex(m)
-        p, d = closest_point_on_surface(index, [0.5, 0.25, 1.0])
-        assert d == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(p, [0.5, 0.25, 0.0], atol=1e-12)
+        p, d = index.query([0.5, 0.25, 1.0])
+        assert d[0] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(p[0], [0.5, 0.25, 0.0], atol=1e-12)
 
     def test_matches_brute_force_exactly(self):
         from spinerecon.synthetic import default_vertebra_params, generate_vertebra
@@ -249,9 +260,9 @@ class TestClosestPoint:
             [[0, 1, 2], [3, 4, 5]],
         )
         index = SurfaceIndex(m)
-        p, d = closest_point_on_surface(index, [1.0, 0.5, 0.0])
-        assert d == pytest.approx(0.5, abs=1e-12)
-        np.testing.assert_allclose(p, [1.0, 0.0, 0.0], atol=1e-12)
+        p, d = index.query([1.0, 0.5, 0.0])
+        assert d[0] == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_allclose(p[0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_concurrent_queries_match_sequential(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -319,19 +330,21 @@ def test_median_edge_length_irregular_mesh_matches_row_unique():
 def test_surface_index_single_triangle():
     m = TriangleMesh([[0, 0, 0], [4, 0, 0], [0, 4, 0]], [[0, 1, 2]])
     index = SurfaceIndex(m)
-    p, d = closest_point_on_surface(index, [1.0, 1.0, 2.0])
-    assert d == pytest.approx(2.0)
-    np.testing.assert_allclose(p, [1, 1, 0], atol=1e-12)
+    p, d = index.query([1.0, 1.0, 2.0])
+    assert d[0] == pytest.approx(2.0)
+    np.testing.assert_allclose(p[0], [1, 1, 0], atol=1e-12)
 
 
 def test_obb_of_planar_sheet():
-    # planar geometry is allowed; the flat direction gets a tiny positive
-    # extent (the asymmetric diagonal split tilts the principal axes a
-    # fraction of a degree, so in-plane extents are only approximate)
-    obb = oriented_bounding_box(sheet_mesh(20, 10, nx=9, ny=9))
-    np.testing.assert_allclose(obb.half_extents[:2], [10, 5], atol=0.2)
-    assert 0 < obb.half_extents[2] <= 1e-9
-    np.testing.assert_allclose(np.abs(obb.axes[:, 2]), [0, 0, 1], atol=1e-9)
+    # planar geometry is allowed; the flat direction comes last (the
+    # asymmetric diagonal split tilts the principal axes a fraction of a
+    # degree, so in-plane extents are only approximate)
+    m = sheet_mesh(20, 10, nx=9, ny=9)
+    axes = principal_axes(m)
+    ext = extents(m, axes)
+    np.testing.assert_allclose(ext[:2], [10, 5], atol=0.2)
+    assert ext[2] <= 1e-9
+    np.testing.assert_allclose(np.abs(axes[:, 2]), [0, 0, 1], atol=1e-9)
 
 
 def _points_on_edges(vertices, triangles, rng, n):

@@ -6,6 +6,8 @@ import shlex
 import subprocess
 import sys
 
+from spinerecon.config import DEFAULTS
+
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
@@ -38,3 +40,11 @@ def test_cli_block_runs(tmp_path):
     report = json.loads((tmp_path / "data" / "eval" / "report.json").read_text())
     assert report["p2m_vb_mean_mm"] < 1e-9 and report["landmark_mae_mean_mm"] < 1e-9
     assert json.loads(proc.stdout[proc.stdout.index("{"):])["facet"]["max_passes"] == 5
+
+
+def test_documented_config_keys_are_the_settable_ones():
+    with open(README) as fh:
+        text = fh.read()
+    sections = "|".join(DEFAULTS)
+    documented = set(re.findall(rf"`((?:{sections})\.[a-z_]+)`", text))
+    assert documented == {f"{section}.{key}" for section, keys in DEFAULTS.items() for key in keys}

@@ -3,13 +3,14 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from helpers import rotation_angle_deg
-from spinerecon.anatomy import LandmarkSet
+from spinerecon.anatomy import PATIENT_AXES, LandmarkSet
 from spinerecon.mesh import SurfaceIndex, apply_transform, transform_mesh
 from spinerecon.registration import (
     IcpParams,
     VertebraFrame,
     compute_frame,
     compute_registration,
+    detect_spine_landmarks,
     detection_mesh,
     frame_to_transform,
     icp_rigid,
@@ -84,6 +85,19 @@ class TestComputeFrame:
 
     def test_skew_diagnostic_zero_for_orthogonal(self):
         assert compute_frame(HAND_LANDMARKS).skew_degrees < 1e-9
+
+
+    def test_vertebra_frame_follows_its_landmarks(self):
+        v = straight_spine(2)[0]
+        T = np.eye(4)
+        T[:3, :3] = np.diag([1.1, 0.9, 1.2])
+        T[:3, 3] = [4.0, -2.0, 3.0]
+        moved = v.landmarks.transformed(T)
+        frame = v.with_(landmarks=moved).frame
+        want = compute_frame(moved)
+        for name in ("x_g", "y_g", "z_g", "c_g"):
+            np.testing.assert_array_equal(getattr(frame, name), getattr(want, name))
+        assert v.with_(landmarks=None).frame is None
 
 
 class TestFrameToTransform:
@@ -230,14 +244,14 @@ def straight_spine(n=5):
 
 def strip_anatomy(spine: SpineModel) -> SpineModel:
     return SpineModel(tuple(
-        v.with_(landmarks=None, axes=None, frame=None) for v in spine.vertebrae))
+        v.with_(landmarks=None, axes=None) for v in spine.vertebrae))
 
 
 class TestRegisterSpine:
     def test_identity_case(self):
         spine = straight_spine()
         targets = SpineModel(tuple(
-            v.with_(mesh=detection_mesh(v), landmarks=None, axes=None, frame=None)
+            v.with_(mesh=detection_mesh(v), landmarks=None, axes=None)
             for v in spine.vertebrae))
         run = register_spine(strip_anatomy(spine), targets, "ours")
         for T in run.transforms:
@@ -251,6 +265,18 @@ class TestRegisterSpine:
         run = register_spine(strip_anatomy(atlas), targets, "ours")
         for got, want in zip(run.transforms, true_T):
             np.testing.assert_allclose(got, want, atol=1e-6)
+
+    def test_detection_keeps_given_landmarks_without_axes(self):
+        spine = straight_spine(2)
+        shift = np.eye(4)
+        shift[:3, 3] = [1.0, 0.0, 0.0]
+        given = [v.landmarks.transformed(shift) for v in spine.vertebrae]
+        kept = detect_spine_landmarks(
+            SpineModel(tuple(v.with_(landmarks=lms, axes=None)
+                             for v, lms in zip(spine.vertebrae, given))),
+            orientation_hint=PATIENT_AXES, cos_threshold=0.8, slab_half_width=None,
+            use_spine_curve=False)
+        assert all(a is b for a, b in zip(kept, given))
 
     def test_level_mismatch_rejected(self):
         spine = straight_spine()
@@ -272,7 +298,7 @@ class TestRegisterSpine:
             ivd_heights=(5.0,), fsu_angles=(0.0,))
         spine = generate_spine(params)[0]
         bad = SpineModel(tuple(
-            v.with_(mesh=detection_mesh(v), landmarks=None, axes=None, frame=None)
+            v.with_(mesh=detection_mesh(v), landmarks=None, axes=None)
             for v in spine.vertebrae))
         with pytest.raises(RuntimeError, match="L1"):
             register_spine(strip_anatomy(spine), bad, "ours", cos_threshold=0.9999)
@@ -326,7 +352,7 @@ class TestRegisterSpine:
         # agree on both sides and the identity is still recovered
         spine = straight_spine()
         targets = SpineModel(tuple(
-            v.with_(mesh=detection_mesh(v), landmarks=None, axes=None, frame=None)
+            v.with_(mesh=detection_mesh(v), landmarks=None, axes=None)
             for v in spine.vertebrae))
         run = register_spine(strip_anatomy(spine), targets, "ours",
                              use_spine_curve=True)

@@ -193,7 +193,7 @@ class TestMakeRegistrationCase:
             spine, rotation_deg=15.0, translation_mm=20.0,
             scale_range=(0.9, 1.1), noise_sd=0.5, seed=0)
         bare = SpineModel(tuple(
-            v.with_(landmarks=None, axes=None, frame=None) for v in atlas.vertebrae))
+            v.with_(landmarks=None, axes=None) for v in atlas.vertebrae))
         run = register_spine(bare, targets, "ours")
         maes = [
             landmark_mae(v.landmarks, atlas.vertebrae[i].landmarks.transformed(true_T[i]))
