@@ -15,6 +15,7 @@ import os
 import sys
 
 from . import __version__
+from .anatomy import LandmarkSet
 from .config import build_config
 from .evaluation import evaluate_reconstruction, write_report_csv, write_report_json
 from .facets import align_facets, facet_gap_summary
@@ -150,6 +151,13 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
+def _load_level_landmarks(path: str, level: str) -> LandmarkSet:
+    found, landmarks = load_landmarks(path)
+    if found != level:
+        raise ValueError(f"landmark file {path} holds level {found!r}, expected {level!r}")
+    return landmarks
+
+
 def cmd_evaluate(args) -> int:
     config = build_config(args.config, args.set)
     registered = _load_spine_dir(args.registered)
@@ -159,8 +167,7 @@ def cmd_evaluate(args) -> int:
     for level in registered.levels:
         path = os.path.join(args.registered, f"landmarks_{level}.json")
         if os.path.exists(path):
-            _, lms = load_landmarks(path)
-            reg_landmarks[level] = lms
+            reg_landmarks[level] = _load_level_landmarks(path, level)
     if len(reg_landmarks) == len(registered):
         registered = SpineModel(tuple(
             v.with_(landmarks=reg_landmarks[v.level]) for v in registered.vertebrae))
@@ -172,8 +179,7 @@ def cmd_evaluate(args) -> int:
             path = os.path.join(args.gt_landmarks, f"landmarks_{level}.json")
             if not os.path.exists(path):
                 raise ValueError(f"missing ground-truth landmark file {path}")
-            _, lms = load_landmarks(path)
-            gt_sets.append(lms)
+            gt_sets.append(_load_level_landmarks(path, level))
     else:
         print("note: no --gt-landmarks; landmark and morphometric MAE columns "
               "are left absent", file=sys.stderr)

@@ -181,6 +181,8 @@ def detect_spine_landmarks(spine: SpineModel, *, orientation_hint: AxesEstimate,
     use_spine_curve and two levels or more, each level's axes are
     refined by the tangent of a spline through the body centers.
     """
+    if all(v.landmarks is not None for v in spine.vertebrae):
+        return [v.landmarks for v in spine.vertebrae]
     meshes = [detection_mesh(v) for v in spine.vertebrae]
     tangents = [None] * len(meshes)
     if use_spine_curve and len(meshes) >= 2:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -424,6 +425,24 @@ def test_failing_input_leaves_no_out_directory(command, synth_dir, recon_dir, tm
     }[command]
     assert main([*argv, "--out", str(out)]) == 1
     assert "missing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("swapped_in", ["registered", "gt_landmarks"])
+def test_evaluate_rejects_landmark_file_of_another_level(swapped_in, synth_dir, recon_dir,
+                                                         tmp_path, capsys):
+    dirs = {"registered": recon_dir, "gt_landmarks": synth_dir}
+    copy = tmp_path / swapped_in
+    shutil.copytree(dirs[swapped_in], copy)
+    l2, l3 = copy / "landmarks_L2.json", copy / "landmarks_L3.json"
+    l2_bytes = l2.read_bytes()
+    l2.write_bytes(l3.read_bytes())
+    l3.write_bytes(l2_bytes)
+    dirs[swapped_in] = str(copy)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--registered", dirs["registered"], "--ground-truth", synth_dir,
+                 "--gt-landmarks", dirs["gt_landmarks"], "--out", str(out)]) == 1
+    assert f"landmark file {l2} holds level 'L3', expected 'L2'" in capsys.readouterr().err
     assert not out.exists()
 
 

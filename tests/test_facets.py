@@ -158,6 +158,18 @@ class TestElasticWarp:
         with pytest.raises(ValueError, match="displacement shape"):
             elastic_warp(spine_mesh, region, np.zeros((3, 3)), falloff_radius=5.0)
 
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    def test_region_index_out_of_range_rejected(self, spine_mesh, bad):
+        # a negative index would otherwise wrap to the last vertices
+        region = np.nonzero(spine_mesh.labels == 4)[0]
+        region[0] = spine_mesh.n_vertices if bad == "n" else bad
+        with pytest.raises(ValueError, match="region index out of range"):
+            elastic_warp(spine_mesh, region, np.zeros(3), falloff_radius=5.0)
+
+    def test_empty_region_leaves_vertices(self, spine_mesh):
+        out = elastic_warp(spine_mesh, [], np.zeros(3), falloff_radius=5.0)
+        np.testing.assert_array_equal(out.vertices, spine_mesh.vertices)
+
 
 class TestAlignFacets:
     @pytest.mark.parametrize("gap", [-0.8, 0.5, 4.0])

@@ -1,11 +1,14 @@
 """Whole-mesh passes against the implementations they replaced.
 
 Each reference below is the earlier form of a library function (np.unique,
-lexsort, mean(axis=1), np.add.at, column min/max, np.setdiff1d). The
-library must match it bit for bit, on meshes with unreferenced vertices,
-zero-area triangles and edges shared by three or more triangles.
+lexsort, mean(axis=1), np.add.at, column min/max, np.setdiff1d, a k-d tree,
+a per-call triangle scan). The library must match it bit for bit, on
+meshes with unreferenced vertices, zero-area triangles and edges shared
+by three or more triangles.
 """
 
+import dataclasses
+import logging
 import re
 
 import numpy as np
@@ -13,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinerecon as sr
+import spinerecon.facets as facets_module
 import spinerecon.mesh as mesh_module
-from spinerecon.facets import elastic_warp
+from spinerecon.facets import elastic_warp, measure_gap
 from spinerecon.mesh import (
     TriangleMesh,
     center_of_mass,
@@ -222,3 +227,118 @@ def test_elastic_warp_matches_setdiff_reference(case, per_vertex):
     disp = rng.normal(size=(size, 3) if per_vertex else 3)
     got = elastic_warp(mesh, region, disp, 3.0)
     np.testing.assert_array_equal(got.vertices, reference_elastic_warp(mesh, region, disp, 3.0).vertices)
+
+
+def reference_facet_triangles(mesh, region):
+    member = np.zeros(mesh.n_vertices, dtype=bool)
+    member[region] = True
+    return np.nonzero(np.all(member[mesh.triangles], axis=1))[0]
+
+
+def reference_measure_gap(pair, upper, lower):
+    """measure_gap with the facet triangles scanned again on every call."""
+    scanned = reference_facet_triangles(lower, pair.lower_region)
+    return measure_gap(
+        dataclasses.replace(pair, lower_triangles=scanned), upper, lower)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_warp_matches_reference(mesh, region, disp, falloff_radius=5.0):
+    got = elastic_warp(mesh, region, disp, falloff_radius).vertices
+    want = reference_elastic_warp(mesh, region, disp, falloff_radius).vertices
+    # bit patterns, so that 0.0 and -0.0 count as different
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    return got
+
+
+@pytest.mark.parametrize("per_vertex", [False, True])
+def test_elastic_warp_keeps_signed_zeros_of_reference(per_vertex):
+    rng = np.random.default_rng(3)
+    verts = rng.choice([0.0, -0.0, 1.5, -2.0, 40.0, 200.0], size=(300, 3))
+    mesh = TriangleMesh(verts, [[0, 1, 2]])
+    region = rng.choice(300, 12, replace=False)
+    if per_vertex:
+        disp = rng.choice([0.0, -0.0, -1.0, 2.0], size=(12, 3))
+        disp[:, 0] = -0.0
+    else:
+        disp = np.array([-0.0, 0.0, -1.0])
+    got = assert_warp_matches_reference(mesh, region, disp)
+    # x = -0.0 plus a -0.0 shift stays -0.0
+    assert np.any((got[:, 0] == 0.0) & np.signbit(got[:, 0]))
+
+
+def test_elastic_warp_matches_reference_where_the_weight_underflows():
+    # x = 0.0 exactly, so even a subnormal weight changes the bits; the
+    # weight exp(-(d / 5)^2) underflows to 0 at d of about 136.5 mm
+    d = np.linspace(0.0, 300.0, 3001)
+    verts = np.column_stack([np.zeros_like(d), d, np.zeros_like(d)])
+    mesh = TriangleMesh(verts, [[0, 1, 2]])
+    got = assert_warp_matches_reference(mesh, [0], np.array([1.0, 0.0, 0.0]))
+    moved = got[:, 0] != 0.0
+    assert moved[(d > 130.0) & (d < 136.0)].all()  # subnormal weights still move x = 0.0
+    assert not moved[d > 137.0].any()
+
+
+@pytest.mark.parametrize("per_vertex", [False, True])
+def test_elastic_warp_one_vertex_region_matches_reference(per_vertex):
+    rng = np.random.default_rng(5)
+    mesh = TriangleMesh(rng.uniform(-60.0, 60.0, (2000, 3)), [[0, 1, 2]])
+    disp = rng.normal(size=(1, 3) if per_vertex else 3)
+    assert_warp_matches_reference(mesh, [1234], disp)
+
+
+@pytest.mark.parametrize("size", [200, 1500])
+def test_elastic_warp_large_region_matches_reference(size):
+    # the per-region-vertex loop over hundreds of vertices, against a
+    # tree with many leaves; repeated region entries included
+    rng = np.random.default_rng(size)
+    mesh = TriangleMesh(rng.uniform(-60.0, 60.0, (4000, 3)), [[0, 1, 2]])
+    region = rng.integers(0, mesh.n_vertices, size)
+    assert_warp_matches_reference(mesh, region, rng.normal(size=(size, 3)))
+    assert_warp_matches_reference(mesh, region, rng.normal(size=3))
+
+
+@pytest.mark.parametrize("scatter", [False, True])
+def test_facet_pair_triangles_match_per_call_scan(scatter):
+    spine, _ = sr.generate_spine(sr.SpineParams(seed=1))
+    rng = np.random.default_rng(2)
+    for upper, lower in spine.pairs():
+        lower_mesh = lower.mesh
+        if scatter:
+            # facet labels on scattered vertices: many triangles are partly in the region
+            labels = lower_mesh.labels.copy()
+            labels[(labels <= 1) & (rng.random(len(labels)) < 0.5)] = mesh_module.LABEL_FACET_SUPERIOR_LEFT
+            lower_mesh = TriangleMesh(lower_mesh.vertices, lower_mesh.triangles, labels)
+        for pair in facets_module.identify_facet_pairs(upper.mesh, lower_mesh):
+            want = reference_facet_triangles(lower_mesh, pair.lower_region)
+            assert len(want) > 0
+            np.testing.assert_array_equal(pair.lower_triangles, want)
+
+
+def test_align_facets_and_gap_summary_match_reference_loop(monkeypatch, caplog):
+    # the README quick-start case, where three pairs run all five passes
+    spine, _ = sr.generate_spine(sr.SpineParams(seed=1))
+    atlas, targets, _ = sr.make_registration_case(
+        spine, rotation_deg=6, translation_mm=6, scale_range=(0.95, 1.1), seed=7)
+    registered = sr.register_spine(atlas, targets, mode="ours").spine
+
+    def align_and_measure():
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="spinerecon.facets"):
+            aligned = facets_module.align_facets(registered, target_width=1.5)
+        unconverged = sum("did not converge in 5 passes" in r.getMessage()
+                          for r in caplog.records)
+        return aligned, facets_module.facet_gap_summary(aligned), unconverged
+
+    got, got_gaps, got_unconverged = align_and_measure()
+    monkeypatch.setattr(facets_module, "elastic_warp", reference_elastic_warp)
+    monkeypatch.setattr(facets_module, "measure_gap", reference_measure_gap)
+    want, want_gaps, want_unconverged = align_and_measure()
+
+    assert got_unconverged == want_unconverged == 3
+    assert got_gaps == want_gaps
+    for a, b in zip(got.vertebrae, want.vertebrae):
+        np.testing.assert_array_equal(_bits(a.mesh.vertices), _bits(b.mesh.vertices))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+import spinerecon.registration as registration
 from helpers import rotation_angle_deg
 from spinerecon.anatomy import PATIENT_AXES, LandmarkSet
 from spinerecon.mesh import SurfaceIndex, apply_transform, transform_mesh
@@ -277,6 +278,33 @@ class TestRegisterSpine:
             orientation_hint=PATIENT_AXES, cos_threshold=0.8, slab_half_width=None,
             use_spine_curve=False)
         assert all(a is b for a, b in zip(kept, given))
+
+    def test_detection_builds_submeshes_only_when_a_level_needs_detecting(self, monkeypatch):
+        spine = straight_spine(3)
+        built = []
+        build = registration.detection_mesh
+
+        def counted(vertebra):
+            built.append(vertebra.level)
+            return build(vertebra)
+
+        monkeypatch.setattr(registration, "detection_mesh", counted)
+        options = dict(orientation_hint=PATIENT_AXES, cos_threshold=0.8,
+                       slab_half_width=None, use_spine_curve=True)
+
+        kept = detect_spine_landmarks(spine, **options)
+        assert built == []
+        assert all(a is v.landmarks for a, v in zip(kept, spine.vertebrae))
+
+        # one level to detect: the spine curve still needs every level's body
+        detected = detect_spine_landmarks(strip_anatomy(spine), **options)
+        built.clear()
+        partial = SpineModel((spine.vertebrae[0].with_(landmarks=None, axes=None),
+                              *spine.vertebrae[1:]))
+        got = detect_spine_landmarks(partial, **options)
+        assert built == ["L1", "L2", "L3"]
+        assert got[0].to_dict() == detected[0].to_dict()
+        assert all(a is v.landmarks for a, v in zip(got[1:], spine.vertebrae[1:]))
 
     def test_level_mismatch_rejected(self):
         spine = straight_spine()
