@@ -310,7 +310,8 @@ def test_facet_pair_triangles_match_per_call_scan(scatter):
         if scatter:
             # facet labels on scattered vertices: many triangles are partly in the region
             labels = lower_mesh.labels.copy()
-            labels[(labels <= 1) & (rng.random(len(labels)) < 0.5)] = mesh_module.LABEL_FACET_SUPERIOR_LEFT
+            scattered = (labels <= 1) & (rng.random(len(labels)) < 0.5)
+            labels[scattered] = mesh_module.LABEL_FACET_SUPERIOR_LEFT
             lower_mesh = TriangleMesh(lower_mesh.vertices, lower_mesh.triangles, labels)
         for pair in facets_module.identify_facet_pairs(upper.mesh, lower_mesh):
             want = reference_facet_triangles(lower_mesh, pair.lower_region)
