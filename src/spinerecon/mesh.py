@@ -33,6 +33,17 @@ def _as_points(a, name="points"):
     return out
 
 
+def _checked_vertices(a) -> np.ndarray:
+    """Finite (n, 3) float64 coordinates as a contiguous array."""
+    verts = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+    if verts.ndim != 2 or verts.shape[1] != 3:
+        raise ValueError(f"vertices must have shape (n, 3), got {verts.shape}")
+    if not np.isfinite(verts).all():
+        bad = int(np.argwhere(~np.isfinite(verts))[0, 0])
+        raise ValueError(f"vertex {bad} has a non-finite coordinate")
+    return verts
+
+
 @dataclass(frozen=True)
 class TriangleMesh:
     """Indexed triangle surface with optional per-vertex region labels.
@@ -48,28 +59,23 @@ class TriangleMesh:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        verts = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
+        verts = _checked_vertices(self.vertices)
         tris = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
-        if verts.ndim != 2 or verts.shape[1] != 3:
-            raise ValueError(f"vertices must have shape (n, 3), got {verts.shape}")
-        if not np.isfinite(verts).all():
-            bad = int(np.argwhere(~np.isfinite(verts))[0, 0])
-            raise ValueError(f"vertex {bad} has a non-finite coordinate")
         if tris.size == 0:
             tris = tris.reshape(0, 3)
         if tris.ndim != 2 or tris.shape[1] != 3:
             raise ValueError(f"triangles must have shape (m, 3), got {tris.shape}")
         if tris.size:
             if tris.min() < 0 or tris.max() >= len(verts):
-                raise ValueError(
-                    f"triangle index out of range (vertex count {len(verts)})"
-                )
-            if np.any(
-                (tris[:, 0] == tris[:, 1])
-                | (tris[:, 1] == tris[:, 2])
-                | (tris[:, 0] == tris[:, 2])
-            ):
-                raise ValueError("triangle repeats a vertex index")
+                bad = int(np.argmax(((tris < 0) | (tris >= len(verts))).any(axis=1)))
+                raise ValueError(f"triangle {bad} has a vertex index out of range: "
+                                 f"{tris[bad].tolist()} (vertex count {len(verts)})")
+            repeats = ((tris[:, 0] == tris[:, 1])
+                       | (tris[:, 1] == tris[:, 2])
+                       | (tris[:, 0] == tris[:, 2]))
+            if repeats.any():
+                bad = int(np.argmax(repeats))
+                raise ValueError(f"triangle {bad} repeats a vertex index: {tris[bad].tolist()}")
         labels = self.labels
         if labels is not None:
             labels = np.ascontiguousarray(np.asarray(labels, dtype=np.int64))
@@ -83,6 +89,18 @@ class TriangleMesh:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
         object.__setattr__(self, "labels", labels)
+
+    def _with_vertices(self, vertices) -> "TriangleMesh":
+        """This mesh's triangles and labels over new vertices; only the vertices are checked."""
+        verts = _checked_vertices(vertices)
+        if len(verts) != self.n_vertices:
+            raise ValueError(f"{len(verts)} vertices given for a mesh of {self.n_vertices}")
+        verts.flags.writeable = False
+        out = object.__new__(TriangleMesh)
+        object.__setattr__(out, "vertices", verts)
+        object.__setattr__(out, "triangles", self.triangles)
+        object.__setattr__(out, "labels", self.labels)
+        return out
 
     @property
     def n_vertices(self) -> int:
@@ -384,6 +402,70 @@ def closest_point_brute_force(mesh: TriangleMesh, points) -> tuple[np.ndarray, n
     return out_p, out_d
 
 
+def _triangle_boxes(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-triangle axis-aligned boxes (lo, hi) of corners (m, 3, 3), and a reach.
+
+    Within the reach of a corner, per axis, no square or product the
+    kernel forms overflows.
+    """
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    return lo, hi, 1e150 / max(1.0, float(hi.max() - lo.min()))
+
+
+def _check_reach(pts: np.ndarray, tri: np.ndarray, reach: float) -> None:
+    """Reject query points that are not finite or lie beyond reach of the first corner."""
+    near = np.abs(pts - tri[0, 0]) <= reach  # False for NaN
+    if not near.all():
+        raise ValueError(f"query point {np.argmin(near.all(axis=1))} is not finite or lies "
+                         f"more than {reach:.3g} mm from the mesh along an axis")
+
+
+def _nearest_per_query(tri: np.ndarray, pts: np.ndarray, qi: np.ndarray, ti: np.ndarray):
+    """Exact closest points over candidate pairs (query qi[k], triangle ti[k]).
+
+    qi must be grouped by query in ascending order, with at least one pair
+    per query and no pair repeated. Each query takes the least distance,
+    ties to the smallest triangle index, exactly as a brute-force scan.
+    Returns (closest_points, distances), one row per query.
+    """
+    p = pts.take(qi, axis=0)
+    cand = closest_points_on_triangles(tri.take(ti, axis=0), p)
+    d = np.linalg.norm(cand - p, axis=1)
+    new_query = np.empty(len(qi), dtype=bool)
+    new_query[:1] = True
+    np.not_equal(qi[1:], qi[:-1], out=new_query[1:])
+    starts = np.flatnonzero(new_query)
+    nearest = d == np.minimum.reduceat(d, starts)[qi]
+    first = np.minimum.reduceat(np.where(nearest, ti, len(tri)), starts)
+    best = np.flatnonzero(nearest & (ti == first[qi]))
+    return cand[best], d[best]
+
+
+def nearest_on_triangles(tri: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest points on a few triangles, given as corners (m, 3, 3), without an index.
+
+    Each query's upper bound U is its distance to the nearest corner,
+    which lies on the surface. A triangle is kept only if its box lies
+    within U + eps (the eps of SurfaceIndex), and the exact kernel runs
+    once over the kept pairs. The nearest triangle and any tied with it
+    lie within U, so the result is bit for bit that of SurfaceIndex and
+    of a brute-force scan. Time and memory grow as queries x triangles.
+    """
+    pts = _as_points(points)
+    lo, hi, reach = _triangle_boxes(tri)
+    _check_reach(pts, tri, reach)
+    offset = pts[:, None, :] - tri.reshape(1, -1, 3)
+    upper = np.sqrt(np.einsum("qkj,qkj->qk", offset, offset).min(axis=1))
+    eps = 1e-9 * (1.0 + upper)
+    # per-axis gap from each point to each triangle's box, 0 inside it
+    gap = np.maximum(lo - pts[:, None, :], pts[:, None, :] - hi)
+    np.maximum(gap, 0.0, out=gap)
+    qi, ti = np.nonzero(np.einsum("qtj,qtj->qt", gap, gap) <= ((upper + eps) ** 2)[:, None])
+    return _nearest_per_query(tri, pts, qi, ti)
+
+
 class SurfaceIndex:
     """Spatial acceleration structure for exact nearest-point queries.
 
@@ -410,10 +492,7 @@ class SurfaceIndex:
         centroids = _centroids(self._tri)
         a, b, c = self._tri[:, 0], self._tri[:, 1], self._tri[:, 2]
         radii = np.sqrt(np.max([_pair_dot(x - centroids, x - centroids) for x in (a, b, c)], axis=0))
-        lo = np.minimum(np.minimum(a, b), c)
-        hi = np.maximum(np.maximum(a, b), c)
-        # within this reach of a corner, per axis, no square or product the kernel forms overflows
-        self._reach = 1e150 / max(1.0, float(hi.max() - lo.min()))
+        lo, hi, self._reach = _triangle_boxes(self._tri)
         threshold = 2.0 * float(np.median(radii))
         strata_masks = [radii <= threshold]
         if np.any(~strata_masks[0]):
@@ -432,15 +511,12 @@ class SurfaceIndex:
     def query(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Exact nearest surface points and distances for a batch of queries."""
         pts = _as_points(points)
-        near = np.abs(pts - self._tri[0, 0]) <= self._reach  # False for NaN
-        if not near.all():
-            raise ValueError(f"query point {np.argmin(near.all(axis=1))} is not finite or lies "
-                             f"more than {self._reach:.3g} mm from the mesh along an axis")
+        _check_reach(pts, self._tri, self._reach)
         out_p = np.empty_like(pts)
         out_d = np.empty(len(pts))
         for start in range(0, len(pts), self._CHUNK):
             chunk = pts[start : start + self._CHUNK]
-            p, d = self._query_chunk(chunk)
+            p, d = _nearest_per_query(self._tri, chunk, *self._candidates(chunk))
             out_p[start : start + self._CHUNK] = p
             out_d[start : start + self._CHUNK] = d
         return out_p, out_d
@@ -454,7 +530,12 @@ class SurfaceIndex:
             upper = np.minimum(upper, np.linalg.norm(cand - pts, axis=1))
         return upper
 
-    def _query_chunk(self, pts):
+    def _candidates(self, pts) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs (query, triangle) whose box lies within the query's upper bound, grouped by query.
+
+        The search's own arrays are freed on return, before the kernel
+        allocates its pairs.
+        """
         upper = self._upper_bound(pts)
         eps = 1e-9 * (1.0 + upper)
         pair_q: list[np.ndarray] = []
@@ -481,13 +562,5 @@ class SurfaceIndex:
             order = np.argsort(qi, kind="stable")
             qi = qi[order]
             ti = ti[order]
-        p = pts.take(qi, axis=0)
-        cand = closest_points_on_triangles(self._tri.take(ti, axis=0), p)
-        d = np.linalg.norm(cand - p, axis=1)
-        # per query: least distance, ties to the smallest triangle index
-        starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
-        nearest = d == np.minimum.reduceat(d, starts)[qi]
-        first = np.minimum.reduceat(np.where(nearest, ti, len(self._tri)), starts)
-        best = np.flatnonzero(nearest & (ti == first[qi]))
-        return cand[best], d[best]
+        return qi, ti
 

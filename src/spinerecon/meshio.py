@@ -79,12 +79,26 @@ def save_mesh(mesh: TriangleMesh, path: str, format: str | None = None,
 # STL
 
 def _weld_vertices(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge exactly-equal coordinates, keeping first-occurrence order."""
-    uniq, first, inverse = np.unique(flat, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return uniq[order], rank[inverse.ravel()].reshape(-1, 3)
+    """Merge equal coordinate rows (-0.0 equals 0.0), keeping first-occurrence order.
+
+    One stable lexsort puts equal rows next to each other in file order,
+    so a row that differs from the one before starts a vertex, and that
+    row is the vertex's first occurrence. The same arrays as
+    np.unique(axis=0) with its first indices and inverse, without the
+    structured-dtype sort.
+    """
+    order = np.lexsort((flat[:, 2], flat[:, 1], flat[:, 0]))
+    ordered = flat.take(order, axis=0)
+    starts = np.empty(len(flat), dtype=bool)
+    starts[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    first = order[starts]  # each vertex's first occurrence, in sorted order
+    leader = np.zeros(len(flat), dtype=bool)
+    leader[first] = True
+    number = np.cumsum(leader) - 1  # vertex number of each first occurrence, in file order
+    inverse = np.empty(len(flat), dtype=np.int64)
+    inverse[order] = number[first][np.cumsum(starts) - 1]
+    return flat[leader], inverse.reshape(-1, 3)
 
 
 def _load_stl(path: str) -> TriangleMesh:

@@ -8,6 +8,7 @@ library kernel so the two can check each other.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from spinerecon.mesh import TriangleMesh
@@ -142,3 +143,38 @@ def oracle_closest_point(mesh: TriangleMesh, point) -> tuple[np.ndarray, float]:
 
 def rotation_angle_deg(r: np.ndarray) -> float:
     return float(np.degrees(np.arccos(np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0))))
+
+
+def points_on_edges(vertices, triangles, rng, n):
+    tri = vertices[triangles[rng.integers(0, len(triangles), n)]]
+    k = rng.integers(0, 3, n)
+    start, end = tri[np.arange(n), k], tri[np.arange(n), (k + 1) % 3]
+    t = np.where(rng.random(n) < 0.5, 0.5, rng.random(n))
+    return start + t[:, None] * (end - start)
+
+
+@st.composite
+def mixed_meshes(draw):
+    """Shared-vertex meshes of small and large triangles plus zero-area slivers."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_pool = draw(st.integers(6, 40))
+    verts = rng.uniform(-10.0, 10.0, (n_pool, 3))
+    if draw(st.booleans()):
+        # a coarse grid gives axis-aligned faces and exact distance ties
+        verts = np.round(verts * 0.5) * 2.0
+        verts = np.unique(verts, axis=0)
+        n_pool = len(verts)
+    gap = np.linalg.norm(verts[:, None] - verts[None], axis=2)
+    tris = [np.argsort(gap[i])[:3] for i in rng.integers(0, n_pool, draw(st.integers(1, 30)))]
+    tris += [rng.choice(n_pool, 3, replace=False) for _ in range(draw(st.integers(0, 6)))]
+    extra = []
+    for _ in range(draw(st.integers(0, 6))):
+        i, j, _k = tris[rng.integers(0, len(tris))]
+        new = n_pool + len(extra)
+        if rng.random() < 0.5:
+            extra.append(0.5 * (verts[i] + verts[j]))  # collinear corners
+        else:
+            extra.append(verts[i])  # coincident corners
+        tris.append(np.array([i, j, new]))
+    verts = np.vstack([verts, *extra]) if extra else verts
+    return TriangleMesh(verts, np.array(tris)), rng

@@ -1,9 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import box_mesh, oracle_closest_point, random_rigid, sheet_mesh
+from helpers import (
+    box_mesh,
+    mixed_meshes,
+    oracle_closest_point,
+    points_on_edges,
+    random_rigid,
+    sheet_mesh,
+)
 from spinerecon.mesh import (
     SurfaceIndex,
     TriangleMesh,
@@ -14,6 +23,7 @@ from spinerecon.mesh import (
     connected_components,
     face_normals,
     median_edge_length,
+    nearest_on_triangles,
     principal_axes,
     submesh_by_label,
     transform_mesh,
@@ -35,6 +45,18 @@ class TestTriangleMesh:
     def test_repeated_index_rejected(self):
         with pytest.raises(ValueError, match="repeats"):
             TriangleMesh(np.eye(3), [[0, 1, 1]])
+
+    def test_triangle_errors_name_the_first_bad_triangle(self):
+        verts = np.eye(4, 3)
+        with pytest.raises(ValueError, match=re.escape(
+                "triangle 1 has a vertex index out of range: [0, 4, 1] (vertex count 4)")):
+            TriangleMesh(verts, [[0, 1, 2], [0, 4, 1], [-1, 1, 2]])
+        with pytest.raises(ValueError, match=re.escape(
+                "triangle 2 has a vertex index out of range: [-1, 1, 2] (vertex count 4)")):
+            TriangleMesh(verts, [[0, 1, 2], [0, 3, 1], [-1, 1, 2]])
+        with pytest.raises(ValueError, match=re.escape(
+                "triangle 1 repeats a vertex index: [3, 1, 3]")):
+            TriangleMesh(verts, [[0, 1, 2], [3, 1, 3], [2, 2, 0]])
 
     def test_non_finite_vertex_rejected(self):
         v = np.eye(3)
@@ -347,41 +369,6 @@ def test_obb_of_planar_sheet():
     np.testing.assert_allclose(np.abs(axes[:, 2]), [0, 0, 1], atol=1e-9)
 
 
-def _points_on_edges(vertices, triangles, rng, n):
-    tri = vertices[triangles[rng.integers(0, len(triangles), n)]]
-    k = rng.integers(0, 3, n)
-    start, end = tri[np.arange(n), k], tri[np.arange(n), (k + 1) % 3]
-    t = np.where(rng.random(n) < 0.5, 0.5, rng.random(n))
-    return start + t[:, None] * (end - start)
-
-
-@st.composite
-def mixed_meshes(draw):
-    """Shared-vertex meshes of small and large triangles plus zero-area slivers."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_pool = draw(st.integers(6, 40))
-    verts = rng.uniform(-10.0, 10.0, (n_pool, 3))
-    if draw(st.booleans()):
-        # a coarse grid gives axis-aligned faces and exact distance ties
-        verts = np.round(verts * 0.5) * 2.0
-        verts = np.unique(verts, axis=0)
-        n_pool = len(verts)
-    gap = np.linalg.norm(verts[:, None] - verts[None], axis=2)
-    tris = [np.argsort(gap[i])[:3] for i in rng.integers(0, n_pool, draw(st.integers(1, 30)))]
-    tris += [rng.choice(n_pool, 3, replace=False) for _ in range(draw(st.integers(0, 6)))]
-    extra = []
-    for _ in range(draw(st.integers(0, 6))):
-        i, j, _k = tris[rng.integers(0, len(tris))]
-        new = n_pool + len(extra)
-        if rng.random() < 0.5:
-            extra.append(0.5 * (verts[i] + verts[j]))  # collinear corners
-        else:
-            extra.append(verts[i])  # coincident corners
-        tris.append(np.array([i, j, new]))
-    verts = np.vstack([verts, *extra]) if extra else verts
-    return TriangleMesh(verts, np.array(tris)), rng
-
-
 @settings(max_examples=150, deadline=None)
 @given(mixed_meshes())
 def test_surface_index_matches_brute_force_bit_for_bit(case):
@@ -392,7 +379,7 @@ def test_surface_index_matches_brute_force_bit_for_bit(case):
     far *= 10.0 * size / np.linalg.norm(far, axis=1, keepdims=True)
     queries = np.vstack([
         mesh.vertices,
-        _points_on_edges(mesh.vertices, mesh.triangles, rng, 40),
+        points_on_edges(mesh.vertices, mesh.triangles, rng, 40),
         rng.uniform(-12.0, 12.0, (40, 3)),
         center + far,
     ])
@@ -424,6 +411,64 @@ def test_equidistant_parallel_triangles_resolve_to_smaller_index(seed, height):
         np.testing.assert_array_equal(p_idx, p_ref)
         np.testing.assert_array_equal(d_idx, d_ref)
         assert np.all(p_idx[:, 2] == first)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_direct_search_matches(mesh, queries):
+    """nearest_on_triangles against SurfaceIndex and brute force, bit patterns."""
+    p_dir, d_dir = nearest_on_triangles(mesh.triangle_points(), queries)
+    for p_ref, d_ref in (SurfaceIndex(mesh).query(queries),
+                         closest_point_brute_force(mesh, queries)):
+        np.testing.assert_array_equal(_bits(p_dir), _bits(p_ref))
+        np.testing.assert_array_equal(_bits(d_dir), _bits(d_ref))
+    return p_dir
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_meshes())
+def test_direct_search_matches_index_and_brute_force_bit_for_bit(case):
+    # zero-area slivers, coincident corners, grid ties; queries on corners,
+    # on edges, off the surface and far away
+    mesh, rng = case
+    center = mesh.vertices.mean(axis=0)
+    size = float(np.ptp(mesh.vertices, axis=0).max()) or 1.0
+    far = rng.normal(size=(10, 3))
+    far *= 1e3 * size / np.linalg.norm(far, axis=1, keepdims=True)
+    queries = np.vstack([
+        mesh.vertices,
+        points_on_edges(mesh.vertices, mesh.triangles, rng, 20),
+        rng.uniform(-12.0, 12.0, (20, 3)),
+        center + far,
+    ])
+    assert_direct_search_matches(mesh, queries)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.125, 4.0))
+def test_direct_search_resolves_mirror_twins_to_smaller_index(seed, height):
+    # twins in z = +h and z = -h are exactly equidistant from z = 0
+    rng = np.random.default_rng(seed)
+    corners = np.c_[rng.uniform(-5.0, 5.0, (3, 2)), np.zeros(3)]
+    queries = np.c_[rng.uniform(-7.0, 7.0, (30, 2)), np.zeros(30)]
+    queries[:3] = corners
+    queries[3] = corners.mean(axis=0)
+    for first in (height, -height):
+        verts = np.vstack([corners + [0.0, 0.0, first], corners - [0.0, 0.0, first]])
+        p = assert_direct_search_matches(TriangleMesh(verts, [[0, 1, 2], [3, 4, 5]]), queries)
+        assert np.all(p[:, 2] == first)
+
+
+def test_direct_search_rejects_queries_as_the_index_does():
+    mesh = TriangleMesh(np.eye(3), [[0, 1, 2]])
+    for bad in ([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]], [[0.0, 0.0, 0.0], [0.0, 1e200, 0.0]]):
+        with pytest.raises(ValueError) as want:
+            SurfaceIndex(mesh).query(bad)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            nearest_on_triangles(mesh.triangle_points(), bad)
+    assert "query point 1 " in str(want.value)
 
 
 def reference_closest_points_on_triangles(tri, pts):

@@ -2,12 +2,11 @@
 
 Each reference below is the earlier form of a library function (np.unique,
 lexsort, mean(axis=1), np.add.at, column min/max, np.setdiff1d, a k-d tree,
-a per-call triangle scan). The library must match it bit for bit, on
-meshes with unreferenced vertices, zero-area triangles and edges shared
-by three or more triangles.
+a per-call triangle scan, a SurfaceIndex per facet). The library must
+match it bit for bit, on meshes with unreferenced vertices, zero-area
+triangles and edges shared by three or more triangles.
 """
 
-import dataclasses
 import logging
 import re
 
@@ -19,8 +18,12 @@ from hypothesis import strategies as st
 import spinerecon as sr
 import spinerecon.facets as facets_module
 import spinerecon.mesh as mesh_module
-from spinerecon.facets import elastic_warp, measure_gap
+from helpers import sheet_mesh
+from spinerecon.facets import GapReport, elastic_warp, measure_gap
 from spinerecon.mesh import (
+    LABEL_FACET_INFERIOR_LEFT,
+    LABEL_FACET_SUPERIOR_LEFT,
+    SurfaceIndex,
     TriangleMesh,
     center_of_mass,
     median_edge_length,
@@ -236,10 +239,18 @@ def reference_facet_triangles(mesh, region):
 
 
 def reference_measure_gap(pair, upper, lower):
-    """measure_gap with the facet triangles scanned again on every call."""
-    scanned = reference_facet_triangles(lower, pair.lower_region)
-    return measure_gap(
-        dataclasses.replace(pair, lower_triangles=scanned), upper, lower)
+    """measure_gap with the facet triangles scanned on every call and a SurfaceIndex per call."""
+    lower_triangles = reference_facet_triangles(lower, pair.lower_region)
+    if len(lower_triangles) == 0:
+        raise ValueError("facet region has no triangles")
+    surface = SurfaceIndex(lower.submesh(lower_triangles))
+    queries = upper.vertices[pair.upper_region]
+    closest, dist = surface.query(queries)
+    side = np.sign(np.einsum("ij,j->i", queries - closest, pair.contact_normal))
+    signed = dist * np.where(side == 0.0, 1.0, side)
+    lo, hi = float(signed.min()), float(signed.max())
+    return GapReport(mean_gap=min(max(float(signed.mean()), lo), hi),
+                     min_gap=lo, max_gap=hi, sample_count=len(signed))
 
 
 def _bits(a):
@@ -343,3 +354,43 @@ def test_align_facets_and_gap_summary_match_reference_loop(monkeypatch, caplog):
     assert got_gaps == want_gaps
     for a, b in zip(got.vertebrae, want.vertebrae):
         np.testing.assert_array_equal(_bits(a.mesh.vertices), _bits(b.mesh.vertices))
+
+
+def _sheet_facet(label, nx, ny, z, rng, tilt=0.0):
+    sheet = sheet_mesh(12.0, 10.0, nx=nx, ny=ny, center=(0.0, 0.0, z))
+    # bumpy and tilted, so the gap varies over the patch
+    verts = sheet.vertices + np.c_[np.zeros((sheet.n_vertices, 2)),
+                                   tilt * sheet.vertices[:, 0]
+                                   + rng.uniform(-0.3, 0.3, sheet.n_vertices)]
+    return TriangleMesh(verts, sheet.triangles, np.full(sheet.n_vertices, label))
+
+
+# upper vertices x lower triangles: 108, 3024, 4116 and 14400 pairs
+_SHEET_FACETS = [(3, 3), (6, 7), (7, 7), (10, 9)]
+
+
+@pytest.mark.parametrize("nx, ny", _SHEET_FACETS)
+def test_measure_gap_matches_reference_on_both_sides_of_the_switch(nx, ny, monkeypatch):
+    rng = np.random.default_rng(nx * ny)
+    upper = _sheet_facet(LABEL_FACET_INFERIOR_LEFT, nx, ny, 0.3, rng, tilt=0.2)
+    lower = _sheet_facet(LABEL_FACET_SUPERIOR_LEFT, nx + 1, ny, 0.0, rng)
+    (pair,) = facets_module.identify_facet_pairs(upper, lower)
+    direct = upper.n_vertices * lower.n_triangles <= facets_module._DIRECT_SEARCH_MAX_PAIRS
+    builds = []
+    original = SurfaceIndex.__init__
+
+    def counting_init(self, mesh):
+        builds.append(mesh.n_triangles)
+        original(self, mesh)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(SurfaceIndex, "__init__", counting_init)
+        got = measure_gap(pair, upper, lower)
+    assert builds == ([] if direct else [lower.n_triangles])
+    assert got.min_gap < 0.0 < got.max_gap  # the tilt takes part of the patch through the other
+    assert got == reference_measure_gap(pair, upper, lower)
+
+
+def test_sheet_facets_straddle_the_switch():
+    sizes = sorted(nx * ny * 2 * nx * (ny - 1) for nx, ny in _SHEET_FACETS)
+    assert sizes[1] <= facets_module._DIRECT_SEARCH_MAX_PAIRS < sizes[2]

@@ -1,4 +1,6 @@
 import os
+import re
+import struct
 import tempfile
 
 import numpy as np
@@ -11,6 +13,7 @@ from spinerecon.meshio import (
     _PLY_TYPES,
     MeshParseError,
     _ply_faces_binary,
+    _weld_vertices,
     load_mesh,
     save_mesh,
 )
@@ -404,3 +407,124 @@ def test_vectorised_faces_match_reference_loop(case):
     assert tris.dtype == np.int64
     np.testing.assert_array_equal(tris, expected[0])
     assert end == expected[1]
+
+
+def reference_weld(flat):
+    """The weld as np.unique(axis=0) with first indices and inverse, put in first-occurrence order."""
+    uniq, first, inverse = np.unique(flat, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return uniq[order], rank[inverse.ravel()].reshape(-1, 3)
+
+
+def assert_weld_matches_reference(flat):
+    got_v, got_t = _weld_vertices(flat)
+    want_v, want_t = reference_weld(flat)
+    # bit patterns, so that 0.0 and -0.0 count as different
+    assert got_v.shape == want_v.shape
+    np.testing.assert_array_equal(got_v.view(np.uint64), want_v.view(np.uint64))
+    assert got_t.dtype == want_t.dtype
+    np.testing.assert_array_equal(got_t, want_t)
+
+
+@st.composite
+def corner_rows(draw):
+    """STL corner rows from a small pool: repeats, signed zeros, sometimes NaN and inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [0.0, -0.0, 1.0, -1.0, 0.5, 3.25, 5e-324, -7.0]
+    if draw(st.booleans()):
+        pool += [np.nan, np.inf, -np.inf]
+    return rng.choice(pool, size=(3 * draw(st.integers(0, 40)), 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(corner_rows())
+def test_weld_matches_unique_reference(flat):
+    assert_weld_matches_reference(flat)
+
+
+def test_weld_keeps_the_first_signed_zero():
+    flat = np.array([[-0.0, 1.0, 0.0], [0.0, 1.0, -0.0], [1.0, 1.0, 1.0]])
+    verts, tris = _weld_vertices(flat)
+    assert_weld_matches_reference(flat)
+    assert len(verts) == 2 and np.signbit(verts[0, 0]) and not np.signbit(verts[0, 2])
+    np.testing.assert_array_equal(tris, [[0, 0, 1]])
+
+
+def _write_binary_stl(path, corners):
+    corners = np.asarray(corners, dtype="<f4").reshape(-1, 3, 3)
+    dtype = np.dtype([("normal", "<f4", 3), ("verts", "<f4", (3, 3)), ("attr", "<u2")])
+    records = np.zeros(len(corners), dtype=dtype)
+    records["verts"] = corners
+    with open(path, "wb") as fh:
+        fh.write(b"test".ljust(80, b"\0") + struct.pack("<I", len(corners)) + records.tobytes())
+
+
+def _write_ascii_stl(path, corners):
+    lines = ["solid test"]
+    for tri in np.asarray(corners, dtype=float).reshape(-1, 3, 3):
+        lines += [" facet normal 0 0 1", "  outer loop"]
+        lines += ["   vertex " + " ".join(repr(float(c)) for c in corner) for corner in tri]
+        lines += ["  endloop", " endfacet"]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines + ["endsolid test", ""]))
+
+
+def test_weld_of_no_rows_and_the_empty_binary_stl(tmp_path):
+    assert_weld_matches_reference(np.empty((0, 3)))
+    path = str(tmp_path / "empty.stl")
+    _write_binary_stl(path, np.empty((0, 3)))
+    mesh = load_mesh(path)
+    assert mesh.vertices.shape == (0, 3) and mesh.triangles.shape == (0, 3)
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_stl_weld_matches_unique_reference(tmp_path, binary):
+    rng = np.random.default_rng(4)
+    tri = rng.choice([0.0, -0.0, 1.0, 2.5, -3.0], size=(40, 3, 3))
+    distinct = ((tri[:, 0] != tri[:, 1]).any(axis=1) & (tri[:, 1] != tri[:, 2]).any(axis=1)
+                & (tri[:, 0] != tri[:, 2]).any(axis=1))
+    flat = tri[distinct].reshape(-1, 3)  # no facet repeats a corner
+    path = str(tmp_path / "m.stl")
+    (_write_binary_stl if binary else _write_ascii_stl)(path, flat)
+    mesh = load_mesh(path)
+    want_v, want_t = reference_weld(flat)
+    np.testing.assert_array_equal(mesh.vertices.view(np.uint64), want_v.view(np.uint64))
+    np.testing.assert_array_equal(mesh.triangles, want_t)
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_stl_nan_coordinate_error_is_unchanged(tmp_path, binary):
+    flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                     [1, 0, 0], [0, 0, 0], [0, 0, 1],
+                     [0, 1, 0], [np.nan, 0, 1], [0, 0, 1]], float)
+    with pytest.raises(ValueError) as want:
+        TriangleMesh(*reference_weld(flat))
+    path = str(tmp_path / "nan.stl")
+    (_write_binary_stl if binary else _write_ascii_stl)(path, flat)
+    with pytest.raises(MeshParseError, match=re.escape(f"{path}: {want.value}")):
+        load_mesh(path)
+    assert str(want.value) == "vertex 4 has a non-finite coordinate"
+
+
+@pytest.mark.parametrize("fmt", ["binary stl", "ascii stl", "ply"])
+def test_repeated_corner_names_the_facet(tmp_path, fmt):
+    # marching cubes often emits a facet with two equal corners
+    corners = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                        [1, 0, 0], [2, 0, 0], [1, 0, 0],
+                        [0, 1, 0], [1, 0, 0], [1, 1, 0]], float)
+    if fmt == "ply":
+        path = str(tmp_path / "m.ply")
+        with open(path, "w") as fh:
+            fh.write("ply\nformat ascii 1.0\nelement vertex 4\nproperty float x\n"
+                     "property float y\nproperty float z\nelement face 3\n"
+                     "property list uchar int vertex_indices\nend_header\n"
+                     "0 0 0\n1 0 0\n0 1 0\n2 0 0\n3 0 1 2\n3 1 3 1\n3 2 1 0\n")
+    else:
+        path = str(tmp_path / "m.stl")
+        (_write_binary_stl if fmt == "binary stl" else _write_ascii_stl)(path, corners)
+    with pytest.raises(MeshParseError, match=re.escape(
+            f"{path}: triangle 1 repeats a vertex index: [1, 3, 1]")):
+        load_mesh(path)
+
