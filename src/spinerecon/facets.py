@@ -20,10 +20,9 @@ from .mesh import (
     LABEL_FACET_INFERIOR_RIGHT,
     LABEL_FACET_SUPERIOR_LEFT,
     LABEL_FACET_SUPERIOR_RIGHT,
-    SurfaceIndex,
     TriangleMesh,
+    _nearest_on_triangles,
     center_of_mass,
-    nearest_on_triangles,
 )
 from .spine import SpineModel, pair_name
 
@@ -119,36 +118,18 @@ def identify_facet_pairs(upper: TriangleMesh, lower: TriangleMesh) -> list[Facet
     return pairs
 
 
-# Query-triangle pairs up to which measure_gap searches the facet patch
-# directly instead of building a SurfaceIndex (see measure_gap).
-_DIRECT_SEARCH_MAX_PAIRS = 4096
-
-
 def measure_gap(pair: FacetPair, upper: TriangleMesh, lower: TriangleMesh) -> GapReport:
     """Signed distances from upper-region vertices to the lower facet surface.
 
-    Both searches give the same bits. A patch of m triangles queried by
-    q vertices is searched directly (`nearest_on_triangles`) while
-    q * m <= _DIRECT_SEARCH_MAX_PAIRS. Past that a `SurfaceIndex` over
-    the patch wins: the direct search costs O(q * m) time and memory,
-    the index mostly a fixed set-up per call. One call on 0.85 mm L3
-    patches, queries 1.5 mm off the surface, best of 20 (2-vCPU Xeon,
-    numpy 2.4):
-
-        q * m         80    1,200   2,944   4,320   6,144   16,480   82,080
-        index (ms)   1.15   1.36    1.64    1.80    1.73    2.40     5.99
-        direct (ms)  0.44   0.77    1.24    1.47    1.89    4.44    22.87
-
-    Every synthetic facet (9 vertices, 8 triangles) is searched directly.
+    The facet patch is searched directly, with no spatial index built per
+    call: the same bits as a `SurfaceIndex` over the patch, at a third of
+    the cost on the 9-vertex, 8-triangle facets of the synthetic atlases.
     """
     if len(pair.lower_triangles) == 0:
         raise ValueError("facet region has no triangles")
     queries = upper.vertices[pair.upper_region]
-    if len(queries) * len(pair.lower_triangles) <= _DIRECT_SEARCH_MAX_PAIRS:
-        tri = lower.vertices.take(lower.triangles.take(pair.lower_triangles, axis=0), axis=0)
-        closest, dist = nearest_on_triangles(tri, queries)
-    else:
-        closest, dist = SurfaceIndex(lower.submesh(pair.lower_triangles)).query(queries)
+    tri = lower.vertices.take(lower.triangles.take(pair.lower_triangles, axis=0), axis=0)
+    closest, dist = _nearest_on_triangles(tri, queries)
     side = np.sign(np.einsum("ij,j->i", queries - closest, pair.contact_normal))
     signed = dist * np.where(side == 0.0, 1.0, side)
     lo, hi = float(signed.min()), float(signed.max())
@@ -196,7 +177,7 @@ def elastic_warp(mesh: TriangleMesh, region, displacement,
 
     verts = mesh.vertices
     if len(region) == 0:
-        return mesh
+        return TriangleMesh(verts, mesh.triangles, mesh.labels)
     if region.min() < 0 or region.max() >= len(verts):
         raise ValueError(f"region index out of range (vertex count {len(verts)})")
 
@@ -208,8 +189,7 @@ def elastic_warp(mesh: TriangleMesh, region, displacement,
     weight = np.exp(-((np.sqrt(nearest_sq) / falloff_radius) ** 2))
     out = verts + weight[:, None] * disp.mean(axis=0)
     out[region] = verts[region] + disp
-    # a warp moves vertices only: the triangles and labels need no second check
-    return mesh._with_vertices(out)
+    return TriangleMesh(out, mesh.triangles, mesh.labels)
 
 
 def align_facets(spine: SpineModel, target_width: float | dict = 1.5,

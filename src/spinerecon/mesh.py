@@ -33,17 +33,6 @@ def _as_points(a, name="points"):
     return out
 
 
-def _checked_vertices(a) -> np.ndarray:
-    """Finite (n, 3) float64 coordinates as a contiguous array."""
-    verts = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
-    if verts.ndim != 2 or verts.shape[1] != 3:
-        raise ValueError(f"vertices must have shape (n, 3), got {verts.shape}")
-    if not np.isfinite(verts).all():
-        bad = int(np.argwhere(~np.isfinite(verts))[0, 0])
-        raise ValueError(f"vertex {bad} has a non-finite coordinate")
-    return verts
-
-
 @dataclass(frozen=True)
 class TriangleMesh:
     """Indexed triangle surface with optional per-vertex region labels.
@@ -59,8 +48,13 @@ class TriangleMesh:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        verts = _checked_vertices(self.vertices)
+        verts = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
         tris = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
+        if verts.ndim != 2 or verts.shape[1] != 3:
+            raise ValueError(f"vertices must have shape (n, 3), got {verts.shape}")
+        if not np.isfinite(verts).all():
+            bad = int(np.argwhere(~np.isfinite(verts))[0, 0])
+            raise ValueError(f"vertex {bad} has a non-finite coordinate")
         if tris.size == 0:
             tris = tris.reshape(0, 3)
         if tris.ndim != 2 or tris.shape[1] != 3:
@@ -89,18 +83,6 @@ class TriangleMesh:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
         object.__setattr__(self, "labels", labels)
-
-    def _with_vertices(self, vertices) -> "TriangleMesh":
-        """This mesh's triangles and labels over new vertices; only the vertices are checked."""
-        verts = _checked_vertices(vertices)
-        if len(verts) != self.n_vertices:
-            raise ValueError(f"{len(verts)} vertices given for a mesh of {self.n_vertices}")
-        verts.flags.writeable = False
-        out = object.__new__(TriangleMesh)
-        object.__setattr__(out, "vertices", verts)
-        object.__setattr__(out, "triangles", self.triangles)
-        object.__setattr__(out, "labels", self.labels)
-        return out
 
     @property
     def n_vertices(self) -> int:
@@ -443,27 +425,43 @@ def _nearest_per_query(tri: np.ndarray, pts: np.ndarray, qi: np.ndarray, ti: np.
     return cand[best], d[best]
 
 
-def nearest_on_triangles(tri: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
-    """Exact nearest points on a few triangles, given as corners (m, 3, 3), without an index.
+# Query-triangle pairs that _nearest_on_triangles holds at once. A pair
+# costs about 180 bytes at the peak, so one chunk stays near 12 MB.
+_DIRECT_PAIRS_PER_CHUNK = 1 << 16
+
+
+def _nearest_on_triangles(tri: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest points on triangles given as corners (m, 3, 3), without an index.
 
     Each query's upper bound U is its distance to the nearest corner,
     which lies on the surface. A triangle is kept only if its box lies
     within U + eps (the eps of SurfaceIndex), and the exact kernel runs
-    once over the kept pairs. The nearest triangle and any tied with it
-    lie within U, so the result is bit for bit that of SurfaceIndex and
-    of a brute-force scan. Time and memory grow as queries x triangles.
+    once per chunk over the kept pairs. The nearest triangle and any tied
+    with it lie within U, so the result is bit for bit that of
+    SurfaceIndex and of a brute-force scan. Time grows as queries x
+    triangles; queries are taken in chunks of at most
+    _DIRECT_PAIRS_PER_CHUNK pairs, which bounds the memory.
     """
     pts = _as_points(points)
     lo, hi, reach = _triangle_boxes(tri)
     _check_reach(pts, tri, reach)
-    offset = pts[:, None, :] - tri.reshape(1, -1, 3)
-    upper = np.sqrt(np.einsum("qkj,qkj->qk", offset, offset).min(axis=1))
-    eps = 1e-9 * (1.0 + upper)
-    # per-axis gap from each point to each triangle's box, 0 inside it
-    gap = np.maximum(lo - pts[:, None, :], pts[:, None, :] - hi)
-    np.maximum(gap, 0.0, out=gap)
-    qi, ti = np.nonzero(np.einsum("qtj,qtj->qt", gap, gap) <= ((upper + eps) ** 2)[:, None])
-    return _nearest_per_query(tri, pts, qi, ti)
+    corners = tri.reshape(1, -1, 3)
+    out_p = np.empty_like(pts)
+    out_d = np.empty(len(pts))
+    step = max(1, _DIRECT_PAIRS_PER_CHUNK // len(tri))
+    for start in range(0, len(pts), step):
+        chunk = pts[start : start + step]
+        offset = chunk[:, None, :] - corners
+        upper = np.sqrt(np.einsum("qkj,qkj->qk", offset, offset).min(axis=1))
+        eps = 1e-9 * (1.0 + upper)
+        # per-axis gap from each point to each triangle's box, 0 inside it
+        gap = np.maximum(lo - chunk[:, None, :], chunk[:, None, :] - hi)
+        np.maximum(gap, 0.0, out=gap)
+        qi, ti = np.nonzero(np.einsum("qtj,qtj->qt", gap, gap) <= ((upper + eps) ** 2)[:, None])
+        p, d = _nearest_per_query(tri, chunk, qi, ti)
+        out_p[start : start + step] = p
+        out_d[start : start + step] = d
+    return out_p, out_d
 
 
 class SurfaceIndex:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinerecon.mesh as mesh_module
 from helpers import (
     box_mesh,
     mixed_meshes,
@@ -16,6 +17,7 @@ from helpers import (
 from spinerecon.mesh import (
     SurfaceIndex,
     TriangleMesh,
+    _nearest_on_triangles,
     apply_transform,
     center_of_mass,
     closest_point_brute_force,
@@ -23,7 +25,6 @@ from spinerecon.mesh import (
     connected_components,
     face_normals,
     median_edge_length,
-    nearest_on_triangles,
     principal_axes,
     submesh_by_label,
     transform_mesh,
@@ -418,8 +419,8 @@ def _bits(a):
 
 
 def assert_direct_search_matches(mesh, queries):
-    """nearest_on_triangles against SurfaceIndex and brute force, bit patterns."""
-    p_dir, d_dir = nearest_on_triangles(mesh.triangle_points(), queries)
+    """_nearest_on_triangles against SurfaceIndex and brute force, bit patterns."""
+    p_dir, d_dir = _nearest_on_triangles(mesh.triangle_points(), queries)
     for p_ref, d_ref in (SurfaceIndex(mesh).query(queries),
                          closest_point_brute_force(mesh, queries)):
         np.testing.assert_array_equal(_bits(p_dir), _bits(p_ref))
@@ -428,10 +429,10 @@ def assert_direct_search_matches(mesh, queries):
 
 
 @settings(max_examples=150, deadline=None)
-@given(mixed_meshes())
-def test_direct_search_matches_index_and_brute_force_bit_for_bit(case):
+@given(mixed_meshes(), st.integers(1, 4096))
+def test_direct_search_matches_index_and_brute_force_bit_for_bit(case, chunk_pairs):
     # zero-area slivers, coincident corners, grid ties; queries on corners,
-    # on edges, off the surface and far away
+    # on edges, off the surface and far away; one chunk of queries or many
     mesh, rng = case
     center = mesh.vertices.mean(axis=0)
     size = float(np.ptp(mesh.vertices, axis=0).max()) or 1.0
@@ -443,7 +444,9 @@ def test_direct_search_matches_index_and_brute_force_bit_for_bit(case):
         rng.uniform(-12.0, 12.0, (20, 3)),
         center + far,
     ])
-    assert_direct_search_matches(mesh, queries)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_DIRECT_PAIRS_PER_CHUNK", chunk_pairs)
+        assert_direct_search_matches(mesh, queries)
 
 
 @settings(max_examples=50, deadline=None)
@@ -467,7 +470,7 @@ def test_direct_search_rejects_queries_as_the_index_does():
         with pytest.raises(ValueError) as want:
             SurfaceIndex(mesh).query(bad)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
-            nearest_on_triangles(mesh.triangle_points(), bad)
+            _nearest_on_triangles(mesh.triangle_points(), bad)
     assert "query point 1 " in str(want.value)
 
 

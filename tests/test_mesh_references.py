@@ -365,32 +365,19 @@ def _sheet_facet(label, nx, ny, z, rng, tilt=0.0):
     return TriangleMesh(verts, sheet.triangles, np.full(sheet.n_vertices, label))
 
 
-# upper vertices x lower triangles: 108, 3024, 4116 and 14400 pairs
-_SHEET_FACETS = [(3, 3), (6, 7), (7, 7), (10, 9)]
+# upper vertices x lower triangles: 108, 3024 and 14400 pairs
+_SHEET_FACETS = [(3, 3), (6, 7), (10, 9)]
 
 
+@pytest.mark.parametrize("chunk_pairs", [1, 500, mesh_module._DIRECT_PAIRS_PER_CHUNK])
 @pytest.mark.parametrize("nx, ny", _SHEET_FACETS)
-def test_measure_gap_matches_reference_on_both_sides_of_the_switch(nx, ny, monkeypatch):
+def test_measure_gap_matches_reference_on_sheet_facets(nx, ny, chunk_pairs, monkeypatch):
+    # from one query per chunk to the whole patch in one chunk
+    monkeypatch.setattr(mesh_module, "_DIRECT_PAIRS_PER_CHUNK", chunk_pairs)
     rng = np.random.default_rng(nx * ny)
     upper = _sheet_facet(LABEL_FACET_INFERIOR_LEFT, nx, ny, 0.3, rng, tilt=0.2)
     lower = _sheet_facet(LABEL_FACET_SUPERIOR_LEFT, nx + 1, ny, 0.0, rng)
     (pair,) = facets_module.identify_facet_pairs(upper, lower)
-    direct = upper.n_vertices * lower.n_triangles <= facets_module._DIRECT_SEARCH_MAX_PAIRS
-    builds = []
-    original = SurfaceIndex.__init__
-
-    def counting_init(self, mesh):
-        builds.append(mesh.n_triangles)
-        original(self, mesh)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(SurfaceIndex, "__init__", counting_init)
-        got = measure_gap(pair, upper, lower)
-    assert builds == ([] if direct else [lower.n_triangles])
+    got = measure_gap(pair, upper, lower)
     assert got.min_gap < 0.0 < got.max_gap  # the tilt takes part of the patch through the other
     assert got == reference_measure_gap(pair, upper, lower)
-
-
-def test_sheet_facets_straddle_the_switch():
-    sizes = sorted(nx * ny * 2 * nx * (ny - 1) for nx, ny in _SHEET_FACETS)
-    assert sizes[1] <= facets_module._DIRECT_SEARCH_MAX_PAIRS < sizes[2]
