@@ -19,7 +19,6 @@ from spinerecon import (
     make_registration_case,
     point_to_model_distance,
     register_spine,
-    transform_mesh,
 )
 from spinerecon.synthetic import default_vertebra_params
 
@@ -29,12 +28,12 @@ spine, _ = generate_spine(SpineParams(
 
 # per-level perturbation: rotation <= 30 deg, translation <= 50 mm,
 # anisotropic scaling 0.8..1.25 along the vertebra's own axes
-atlas, targets, true_transforms = make_registration_case(
+targets, ground_truth, true_transforms = make_registration_case(
     spine, rotation_deg=30.0, translation_mm=50.0, scale_range=(0.8, 1.25), seed=7)
 
 # drop the precomputed anatomy so the full detection pipeline runs
 bare = SpineModel(tuple(
-    v.with_(landmarks=None, axes=None) for v in atlas.vertebrae))
+    v.with_(landmarks=None, axes=None) for v in spine.vertebrae))
 
 run = register_spine(bare, targets, mode="ours")
 print(f"registered {len(run.spine)} levels in {run.elapsed_s * 1e3:.1f} ms\n")
@@ -42,8 +41,7 @@ print(f"registered {len(run.spine)} levels in {run.elapsed_s * 1e3:.1f} ms\n")
 print("level   max |T - T_true|    whole-vertebra distance to truth (mm)")
 for i, vertebra in enumerate(run.spine.vertebrae):
     t_err = np.abs(run.transforms[i] - true_transforms[i]).max()
-    gt_full = transform_mesh(atlas.vertebrae[i].mesh, true_transforms[i])
-    p2m = point_to_model_distance(vertebra.mesh, SurfaceIndex(gt_full))
+    p2m = point_to_model_distance(vertebra.mesh, SurfaceIndex(ground_truth[i].mesh))
     print(f"  {vertebra.level}      {t_err:.2e}            {p2m:.2e}")
 
 print("\nframe skew of the recovered alignments (degrees off 90):")

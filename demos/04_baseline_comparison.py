@@ -22,20 +22,15 @@ from spinerecon import (
     generate_spine,
     make_registration_case,
     register_spine,
-    transform_mesh,
 )
 from spinerecon.evaluation import write_report_csv
 
 spine, _ = generate_spine(SpineParams(ivd_heights=(5.0,) * 4, fsu_angles=(0.0,) * 4))
-atlas, targets, true_transforms = make_registration_case(
+targets, ground_truth, _ = make_registration_case(
     spine, rotation_deg=6.0, translation_mm=6.0, scale_range=(0.95, 1.1),
     noise_sd=0.2, seed=19)
 bare = SpineModel(tuple(
-    v.with_(landmarks=None, axes=None) for v in atlas.vertebrae))
-
-ground_truth = SpineModel(tuple(
-    v.with_(mesh=transform_mesh(v.mesh, T), landmarks=v.landmarks.transformed(T))
-    for v, T in zip(atlas.vertebrae, true_transforms)))
+    v.with_(landmarks=None, axes=None) for v in spine.vertebrae))
 gt_landmarks = [v.landmarks for v in ground_truth.vertebrae]
 
 reports = []

@@ -24,15 +24,12 @@ spine, _ = generate_spine(SpineParams(ivd_heights=(5.0,) * 4, fsu_angles=(0.0,) 
 
 print("noise sd (mm)   landmark MAE mean / max over levels (mm)")
 for noise in (0.0, 0.1, 0.25, 0.5):
-    atlas, targets, true_transforms = make_registration_case(
+    targets, ground_truth, _ = make_registration_case(
         spine, rotation_deg=15.0, translation_mm=20.0, scale_range=(0.9, 1.1),
         noise_sd=noise, seed=3)
     bare = SpineModel(tuple(
-        v.with_(landmarks=None, axes=None) for v in atlas.vertebrae))
+        v.with_(landmarks=None, axes=None) for v in spine.vertebrae))
     run = register_spine(bare, targets, "ours")
-    errors = [
-        landmark_mae(v.landmarks,
-                     atlas.vertebrae[i].landmarks.transformed(true_transforms[i]))
-        for i, v in enumerate(run.spine.vertebrae)
-    ]
+    errors = [landmark_mae(v.landmarks, t.landmarks)
+              for v, t in zip(run.spine.vertebrae, ground_truth.vertebrae)]
     print(f"   {noise:4.2f}         {np.mean(errors):8.4f} / {np.max(errors):8.4f}")

@@ -332,22 +332,16 @@ def extract_endplates(mesh: TriangleMesh, axes: AxesEstimate,
     return plate(+1.0, "superior"), plate(-1.0, "inferior")
 
 
-def _plate_extremes(plate: TriangleMesh, axes: AxesEstimate, slab_half_width: float | None):
+def _plate_extremes(plate: TriangleMesh, axes: AxesEstimate, name: str):
     verts = plate.vertices
-    centroid = center_of_mass(plate)
-    if slab_half_width is None:
-        slab_half_width = 2.0 * median_edge_length(plate)
-    if slab_half_width <= 0:
-        raise ValueError("slab_half_width must be positive")
-    rel = verts - centroid
+    rel = verts - center_of_mass(plate)
+    half_width = 2.0 * median_edge_length(plate)
 
     def extremes(plane_normal, direction, plane_name):
-        inside = np.nonzero(np.abs(rel @ plane_normal) <= slab_half_width)[0]
+        inside = np.nonzero(np.abs(rel @ plane_normal) <= half_width)[0]
         if len(inside) == 0:
-            raise ValueError(
-                f"{plane_name} slab is empty; increase slab_half_width "
-                f"(current {slab_half_width:.3g} mm)"
-            )
+            raise ValueError(f"{name} plate: {plane_name} slab is empty (half-width "
+                             f"{half_width:.3g} mm, twice the median plate edge)")
         along = verts[inside] @ direction
         # ties resolve to the smallest vertex index (first occurrence)
         return verts[inside[int(np.argmax(along))]], verts[inside[int(np.argmin(along))]]
@@ -358,18 +352,17 @@ def _plate_extremes(plate: TriangleMesh, axes: AxesEstimate, slab_half_width: fl
 
 
 def detect_landmarks(superior: TriangleMesh, inferior: TriangleMesh,
-                     axes: AxesEstimate,
-                     slab_half_width: float | None = None) -> LandmarkSet:
+                     axes: AxesEstimate) -> LandmarkSet:
     """Eight endplate landmarks from extracted plates.
 
     Each plate is intersected with the sagittal plane (normal =
     lateral, through the plate centroid) as a vertex slab whose
     extremes along +/- anterior give the anterior/posterior landmarks;
-    the coronal slab gives left/right. slab_half_width defaults to
-    twice the plate's median edge length.
+    the coronal slab gives left/right. The slab's half-width is twice
+    the plate's median edge length.
     """
-    sup = _plate_extremes(superior, axes, slab_half_width)
-    inf = _plate_extremes(inferior, axes, slab_half_width)
+    sup = _plate_extremes(superior, axes, "superior")
+    inf = _plate_extremes(inferior, axes, "inferior")
     return LandmarkSet(
         l1=sup["left"], l2=sup["right"],
         l3=inf["left"], l4=inf["right"],
@@ -380,10 +373,8 @@ def detect_landmarks(superior: TriangleMesh, inferior: TriangleMesh,
 
 def detect_vertebra_landmarks(mesh: TriangleMesh, *, curve_tangent=None,
                               orientation_hint: AxesEstimate = PATIENT_AXES,
-                              cos_threshold: float = 0.8,
-                              slab_half_width: float | None = None,
-                              ) -> tuple[AxesEstimate, LandmarkSet]:
+                              cos_threshold: float = 0.8) -> LandmarkSet:
     """Full per-vertebra landmark path: axes, endplates, landmarks."""
     axes = estimate_axes(mesh, curve_tangent, orientation_hint)
     sup, inf = extract_endplates(mesh, axes, cos_threshold)
-    return axes, detect_landmarks(sup, inf, axes, slab_half_width)
+    return detect_landmarks(sup, inf, axes)

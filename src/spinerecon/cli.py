@@ -97,7 +97,6 @@ def cmd_landmarks(args) -> int:
         _load_spine(pairs),
         orientation_hint=config.orientation_hint,
         cos_threshold=config.cos_threshold,
-        slab_half_width=config.slab_half_width,
         use_spine_curve=config.use_spine_curve,
     )
     os.makedirs(args.out, exist_ok=True)
@@ -123,7 +122,6 @@ def cmd_reconstruct(args) -> int:
         atlas, targets, config.mode,
         orientation_hint=config.orientation_hint,
         cos_threshold=config.cos_threshold,
-        slab_half_width=config.slab_half_width,
         use_spine_curve=config.use_spine_curve,
         icp_params=config.icp_params,
         seed=config.seed,

@@ -24,7 +24,6 @@ DEFAULTS = {
     "axes": {"lateral": "+x", "anterior": "+y", "longitudinal": "+z"},
     "anatomy": {
         "cos_threshold": 0.8,
-        "slab_half_width_mm": None,  # null: adaptive, 2x median plate edge
         "use_spine_curve": False,
     },
     "registration": {"mode": "ours", "seed": 0},
@@ -49,7 +48,6 @@ class PipelineConfig:
     raw: dict
     orientation_hint: AxesEstimate
     cos_threshold: float
-    slab_half_width: float | None
     use_spine_curve: bool
     mode: str
     seed: int
@@ -126,14 +124,11 @@ def _parse(raw: dict) -> PipelineConfig:
         if not isinstance(section, dict):
             raise _reject(name, "a JSON object", section)
     anatomy, registration, icp, facet = (raw[s] for s in ("anatomy", "registration", "icp", "facet"))
-    slab = anatomy["slab_half_width_mm"]
     return PipelineConfig(
         raw=raw,
         orientation_hint=_orientation_hint(raw["axes"]),
         cos_threshold=_number(anatomy["cos_threshold"], "anatomy.cos_threshold",
                               "a number in (0, 1)", lambda v: 0 < v < 1),
-        slab_half_width=None if slab is None else _number(
-            slab, "anatomy.slab_half_width_mm", "null or a positive number"),
         use_spine_curve=_boolean(anatomy["use_spine_curve"], "anatomy.use_spine_curve"),
         mode=_choice(registration["mode"], "registration.mode", MODES),
         seed=_integer(registration["seed"], "registration.seed", 0),

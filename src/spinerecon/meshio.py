@@ -259,11 +259,6 @@ def _load_ply(path: str) -> TriangleMesh:
                 )
         if verts is None or tris is None:
             raise MeshParseError(f"{path}: PLY is missing vertex or face element")
-
-    if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
-        raise MeshParseError(
-            f"{path}: face index out of range (vertex count {len(verts)})"
-        )
     return TriangleMesh(verts, tris, labels)
 
 
@@ -281,7 +276,10 @@ def _ply_vertices_ascii(path, elem, rows):
         tokens = row.split()
         if len(tokens) != len(names):
             raise MeshParseError(f"{path}: vertex row {i} has {len(tokens)} values, expected {len(names)}")
-        table[i] = [float(t) for t in tokens]
+        try:
+            table[i] = [float(t) for t in tokens]
+        except ValueError:
+            raise MeshParseError(f"{path}: vertex row {i} has a bad number in {row!r}") from None
     verts = table[:, [names.index("x"), names.index("y"), names.index("z")]]
     labels = None
     if "region" in names:
@@ -295,12 +293,15 @@ def _ply_faces_ascii(path, elem, rows):
         tokens = row.split()
         if not tokens:
             raise MeshParseError(f"{path}: empty face row {i}")
-        n = int(tokens[0])
+        try:
+            n, *corners = (int(t) for t in tokens[:4])
+        except ValueError:
+            raise MeshParseError(f"{path}: face row {i} has a bad integer in {row!r}") from None
         if n != 3:
             raise MeshParseError(f"{path}: face row {i} has {n} vertices; only triangles supported")
-        if len(tokens) < 4:
+        if len(corners) < 3:
             raise MeshParseError(f"{path}: face row {i} is truncated")
-        tris[i] = [int(t) for t in tokens[1:4]]
+        tris[i] = corners
     return tris
 
 

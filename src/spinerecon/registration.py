@@ -173,8 +173,7 @@ def detection_mesh(vertebra: Vertebra) -> TriangleMesh:
 
 
 def detect_spine_landmarks(spine: SpineModel, *, orientation_hint: AxesEstimate,
-                           cos_threshold: float, slab_half_width: float | None,
-                           use_spine_curve: bool) -> list[LandmarkSet]:
+                           cos_threshold: float, use_spine_curve: bool) -> list[LandmarkSet]:
     """Eight landmarks per level, in level order.
 
     A vertebra that already carries landmarks keeps them. With
@@ -195,12 +194,11 @@ def detect_spine_landmarks(spine: SpineModel, *, orientation_hint: AxesEstimate,
             results.append(vertebra.landmarks)
             continue
         try:
-            _, landmarks = detect_vertebra_landmarks(
+            results.append(detect_vertebra_landmarks(
                 mesh, curve_tangent=tangent, orientation_hint=orientation_hint,
-                cos_threshold=cos_threshold, slab_half_width=slab_half_width)
+                cos_threshold=cos_threshold))
         except Exception as e:
             raise RuntimeError(f"{vertebra.level}: landmark detection failed: {e}") from e
-        results.append(landmarks)
     return results
 
 
@@ -214,7 +212,6 @@ def _sample_rows(points: np.ndarray, count: int, rng: np.random.Generator) -> np
 def register_spine(atlas: SpineModel, targets: SpineModel, mode: str = "ours", *,
                    orientation_hint: AxesEstimate = PATIENT_AXES,
                    cos_threshold: float = 0.8,
-                   slab_half_width: float | None = None,
                    use_spine_curve: bool = False,
                    icp_params: IcpParams | None = None,
                    seed: int = 0) -> RegistrationRun:
@@ -242,7 +239,7 @@ def register_spine(atlas: SpineModel, targets: SpineModel, mode: str = "ours", *
 
     t0 = time.perf_counter()
     detection = dict(orientation_hint=orientation_hint, cos_threshold=cos_threshold,
-                     slab_half_width=slab_half_width, use_spine_curve=use_spine_curve)
+                     use_spine_curve=use_spine_curve)
     source_landmarks = detect_spine_landmarks(atlas, **detection)
     if mode in ("ours", "ours_icp"):
         target_landmarks = detect_spine_landmarks(targets, **detection)

@@ -131,9 +131,18 @@ def save_transforms(path: str, levels: list[str], transforms: list[np.ndarray]) 
 
 
 def load_transforms(path: str) -> dict[str, np.ndarray]:
-    with open(path) as fh:
-        payload = json.load(fh)
+    """Level -> 4x4 matrix from a file written by `save_transforms`."""
+    payload = _read_json(path, "transforms file")
+    if not isinstance(payload, list):
+        raise ValueError(f"transforms file {path} must hold a JSON list")
     out = {}
-    for entry in payload:
-        out[entry["level"]] = np.asarray(entry["matrix"], dtype=np.float64)
+    for i, entry in enumerate(payload):
+        try:
+            level, matrix = entry["level"], np.asarray(entry["matrix"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError):
+            matrix = None
+        if matrix is None or matrix.shape != (4, 4):
+            raise ValueError(f"transforms file {path}: entry {i} must be an object with "
+                             "a 'level' and a 4x4 'matrix' of numbers")
+        out[level] = matrix
     return out

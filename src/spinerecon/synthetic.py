@@ -355,13 +355,15 @@ def make_registration_case(spine: SpineModel, *, rotation_deg: float = 0.0,
                            scale_range: tuple[float, float] = (1.0, 1.0),
                            noise_sd: float = 0.0,
                            seed: int = 0) -> tuple[SpineModel, SpineModel, list[np.ndarray]]:
-    """Perturbed registration case: complete atlas, body-only targets, oracle transforms.
+    """Perturbed registration case: body-only targets, ground truth, true transforms.
 
     Each level gets an independent affine of the family the landmark
     registration represents exactly: anisotropic scaling along the
     vertebra's own axes about its landmark centroid, then a rotation of
     at most rotation_deg, then a translation of at most translation_mm.
     Optional Gaussian jitter of noise_sd is added to target vertices.
+    The ground truth is each complete vertebra and its landmarks under
+    its affine, unjittered; its axes are the input axes rotated.
     """
     lo, hi = scale_range
     if not 0 < lo <= hi:
@@ -369,6 +371,7 @@ def make_registration_case(spine: SpineModel, *, rotation_deg: float = 0.0,
     rng = np.random.default_rng(seed)
 
     targets = []
+    truth = []
     true_transforms = []
     for vertebra in spine.vertebrae:
         axis = rng.normal(size=3)
@@ -396,5 +399,8 @@ def make_registration_case(spine: SpineModel, *, rotation_deg: float = 0.0,
             jitter = rng.normal(0.0, noise_sd, moved.vertices.shape)
             moved = TriangleMesh(moved.vertices + jitter, moved.triangles, moved.labels)
         targets.append(Vertebra(level=vertebra.level, mesh=moved))
+        truth.append(vertebra.with_(mesh=transform_mesh(vertebra.mesh, affine),
+                                    landmarks=vertebra.landmarks.transformed(affine),
+                                    axes=vertebra.axes.rotated(r3)))
         true_transforms.append(affine)
-    return spine, SpineModel(tuple(targets)), true_transforms
+    return SpineModel(tuple(targets)), SpineModel(tuple(truth)), true_transforms

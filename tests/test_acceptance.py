@@ -93,14 +93,13 @@ def test_criterion_3_affine_recovery():
     worst_p2m = 0.0
     for seed in (11, 12, 13):
         spine = straight_spine()
-        atlas, targets, true_T = make_registration_case(
+        targets, truth, true_T = make_registration_case(
             spine, rotation_deg=30.0, translation_mm=50.0,
             scale_range=(0.8, 1.25), noise_sd=0.0, seed=seed)
-        run = register_spine(strip_anatomy(atlas), targets, "ours")
+        run = register_spine(strip_anatomy(spine), targets, "ours")
         for i, (got, want) in enumerate(zip(run.transforms, true_T)):
             worst_transform = max(worst_transform, np.abs(got - want).max())
-            gt_full = transform_mesh(atlas.vertebrae[i].mesh, want)
-            d = point_to_model_distance(run.spine[i].mesh, SurfaceIndex(gt_full))
+            d = point_to_model_distance(run.spine[i].mesh, SurfaceIndex(truth[i].mesh))
             worst_p2m = max(worst_p2m, d)
     elapsed = time.perf_counter() - start
     assert worst_transform < 1e-6
@@ -137,8 +136,7 @@ def test_criterion_5_morphometric_round_trip():
         spine, record = generate_spine(params)
         detected = []
         for v in spine.vertebrae:
-            _, lms = detect_vertebra_landmarks(submesh_by_label(v.mesh, 1))
-            detected.append(lms)
+            detected.append(detect_vertebra_landmarks(submesh_by_label(v.mesh, 1)))
         measured = measure_morphometrics(spine.levels, detected)
         for pair in record.pair_names():
             worst_angle = max(worst_angle,
@@ -184,15 +182,14 @@ def test_criterion_7_icp_properties():
     assert rot_err < 0.1 and trans_err < 0.05
 
     spine = straight_spine()
-    atlas, targets, true_T = make_registration_case(
+    targets, truth, _ = make_registration_case(
         spine, rotation_deg=15.0, translation_mm=20.0, scale_range=(0.9, 1.1),
         noise_sd=0.0, seed=31)
-    bare = strip_anatomy(atlas)
+    bare = strip_anatomy(spine)
     run_ours = register_spine(bare, targets, "ours")
     run_hybrid = register_spine(bare, targets, "ours_icp")
     for i in range(len(spine)):
-        gt_full = transform_mesh(atlas.vertebrae[i].mesh, true_T[i])
-        idx = SurfaceIndex(gt_full)
+        idx = SurfaceIndex(truth[i].mesh)
         d_ours = point_to_model_distance(run_ours.spine[i].mesh, idx)
         d_hybrid = point_to_model_distance(run_hybrid.spine[i].mesh, idx)
         assert d_hybrid <= d_ours + 1e-6
@@ -236,7 +233,7 @@ def test_criterion_9_equivariance_suite():
     for _ in range(50):
         T = random_rigid(rng, max_angle_deg=180.0, max_translation=100.0)
         hint = PATIENT_AXES.rotated(T[:3, :3])
-        _, lms = detect_vertebra_landmarks(transform_mesh(mesh, T), orientation_hint=hint)
+        lms = detect_vertebra_landmarks(transform_mesh(mesh, T), orientation_hint=hint)
         err = np.linalg.norm(lms.points() - truth.transformed(T).points(), axis=1).max()
         assert err <= 1.5 * edge
         moved = measure_morphometrics(spine.levels, [s.transformed(T) for s in sets])

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from helpers import box_mesh, ellipse_disk, random_rigid
+from helpers import box_mesh, ellipse_disk, random_rigid, sheet_mesh
 from spinerecon.anatomy import (
     AxesEstimate,
     LandmarkSet,
@@ -13,7 +15,7 @@ from spinerecon.anatomy import (
     extract_endplates,
     fit_spine_curve,
 )
-from spinerecon.mesh import transform_mesh
+from spinerecon.mesh import TriangleMesh, transform_mesh
 from spinerecon.synthetic import default_vertebra_params, generate_vertebra
 
 
@@ -161,23 +163,31 @@ class TestDetectLandmarks:
             err = np.linalg.norm(moved.points() - expected.points(), axis=1).max()
             assert err <= 1.5 * edge
 
-    def test_tiny_slab_errors_with_suggestion(self):
-        # annulus plates (no vertex at the centroid, tessellation rotated
-        # off the cardinal planes): a 1 micron slab catches nothing
-        def annulus(z):
-            disk = ellipse_disk(20.0, 15.0, edge=2.0, z=z, rotate_z_deg=2.0)
-            keep = np.nonzero(~np.any(disk.triangles == 0, axis=1))[0]
-            return disk.submesh(keep)
+    def test_empty_slab_names_plate_plane_and_width(self):
+        # each plate: two 4 mm grids 32 mm apart, joined by two long
+        # triangles; the sagittal plane through the centroid passes
+        # 16 mm from every vertex, beyond twice the 4 mm median edge
+        def split_plate(z):
+            left = sheet_mesh(8.0, 40.0, nx=3, ny=11, center=(-20.0, 0.0, z))
+            right = sheet_mesh(8.0, 40.0, nx=3, ny=11, center=(20.0, 0.0, z))
+            n = left.n_vertices
+            # inner-edge corners: left (-16, -20), (-16, 20); right (16, -20), (16, 20)
+            a_lo, a_hi, b_lo, b_hi = 2 * 11, 2 * 11 + 10, n, n + 10
+            bridge = [(a_lo, b_lo, b_hi), (a_lo, b_hi, a_hi)]
+            return TriangleMesh(np.vstack([left.vertices, right.vertices]),
+                                np.vstack([left.triangles, right.triangles + n, bridge]))
 
-        with pytest.raises(ValueError, match="slab_half_width"):
-            detect_landmarks(annulus(0.0), annulus(-10.0), PATIENT_AXES,
-                             slab_half_width=0.001)
+        with pytest.raises(ValueError, match=re.escape(
+                "superior plate: sagittal slab is empty "
+                "(half-width 8 mm, twice the median plate edge)")):
+            detect_landmarks(split_plate(0.0), split_plate(-10.0), PATIENT_AXES)
 
     def test_superior_above_inferior_for_synthetic_bodies(self):
         for level in ("L1", "L3", "L5"):
             mesh, _, _ = generate_vertebra(
                 default_vertebra_params(level, with_posterior=False))
-            axes, lms = detect_vertebra_landmarks(mesh)
+            axes = estimate_axes(mesh)
+            lms = detect_vertebra_landmarks(mesh)
             gap = (lms.superior_points().mean(axis=0)
                    - lms.inferior_points().mean(axis=0)) @ axes.longitudinal
             assert gap > 0
@@ -186,7 +196,7 @@ class TestDetectLandmarks:
         for edge in (1.5, 3.0):
             mesh, truth, _ = generate_vertebra(
                 default_vertebra_params("L3", tessellation_edge=edge, with_posterior=False))
-            _, lms = detect_vertebra_landmarks(mesh)
+            lms = detect_vertebra_landmarks(mesh)
             err = np.linalg.norm(lms.points() - truth.points(), axis=1).max()
             assert err <= 1e-9
 

@@ -69,7 +69,7 @@ class TestSynth:
 def perturbed_targets(tmp_path_factory):
     out = tmp_path_factory.mktemp("targets")
     spine, _ = generate_spine(SpineParams(seed=3))
-    _, targets, _ = make_registration_case(
+    targets, _, _ = make_registration_case(
         spine, rotation_deg=5.0, translation_mm=5.0, scale_range=(0.95, 1.1),
         noise_sd=0.2, seed=2)
     paths = []
@@ -153,8 +153,7 @@ class TestLandmarks:
             for p in perturbed_targets))
         expected = detect_spine_landmarks(
             spine, orientation_hint=config.orientation_hint,
-            cos_threshold=config.cos_threshold, slab_half_width=config.slab_half_width,
-            use_spine_curve=config.use_spine_curve)
+            cos_threshold=config.cos_threshold, use_spine_curve=config.use_spine_curve)
         for level, want in zip(spine.levels, expected):
             _, got = load_landmarks(os.path.join(out, f"landmarks_{level}.json"))
             np.testing.assert_array_equal(got.points(), want.points())
@@ -205,6 +204,27 @@ class TestReconstructEvaluate:
         transforms = load_transforms(os.path.join(recon_dir, "transforms.json"))
         for T in transforms.values():
             np.testing.assert_allclose(T, np.eye(4), atol=1e-9)
+
+    BAD_ENTRY = "must be an object with a 'level' and a 4x4 'matrix' of numbers"
+
+    @pytest.mark.parametrize("content, message", [
+        ("[", ": invalid JSON at line 1 column 2: Expecting value"),
+        ({"level": "L1"}, " must hold a JSON list"),
+        ([{"matrix": np.eye(4).tolist()}], f": entry 0 {BAD_ENTRY}"),
+        ([{"level": "L1", "matrix": np.eye(4).tolist()}, {"level": "L2"}],
+         f": entry 1 {BAD_ENTRY}"),
+        ([{"level": "L1", "matrix": np.eye(3).tolist()}], f": entry 0 {BAD_ENTRY}"),
+        ([{"level": "L1", "matrix": [[1, 0, 0, 0]] * 3 + [[0, 0, 1]]}], f": entry 0 {BAD_ENTRY}"),
+        ([{"level": "L1", "matrix": [["a"] * 4] * 4}], f": entry 0 {BAD_ENTRY}"),
+        (["L1"], f": entry 0 {BAD_ENTRY}"),
+    ])
+    def test_malformed_transforms_file_names_it(self, tmp_path, content, message):
+        from spinerecon.spine import load_transforms
+        path = tmp_path / "transforms.json"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        with pytest.raises(ValueError) as exc:
+            load_transforms(str(path))
+        assert str(exc.value) == f"transforms file {path}{message}"
 
     def test_evaluate_identity_near_zero(self, recon_dir, synth_dir, tmp_path, capsys):
         out = str(tmp_path / "eval")
@@ -344,13 +364,14 @@ class TestConfig:
         ("axes.longitudinal=-z", "axes.longitudinal"),
         ("anatomy.cos_threshold=1.0", "anatomy.cos_threshold"),
         ("anatomy.cos_threshold=NaN", "anatomy.cos_threshold"),
-        ("anatomy.slab_half_width_mm=0", "anatomy.slab_half_width_mm"),
         ("anatomy.use_spine_curve=1", "anatomy.use_spine_curve"),
         ("registration.mode=fast", "registration.mode"),
         ("registration.seed=-1", "registration.seed"),
         ("icp.max_iterations=0", "icp.max_iterations"),
         ("icp.convergence_tol_mm=0", "icp.convergence_tol_mm"),
         ("icp.sample_count=2", "icp.sample_count"),
+        # removed keys are unknown
+        ("anatomy.slab_half_width_mm=0", "anatomy.slab_half_width_mm"),
         ("icp.outlier_trim_fraction=1.0", "icp.outlier_trim_fraction"),
         ("icp.outlier_trim_fraction=true", "icp.outlier_trim_fraction"),
         ("facet.target_width_mm=0", "facet.target_width_mm"),
@@ -372,6 +393,8 @@ class TestConfig:
         ("[1]", "must hold a JSON object"),
         ('{"facet": {"max_passes": 2.0}}', "facet.max_passes"),
         ('{"anatomy": {"nope": 1}}', "unknown config key 'anatomy.nope'"),
+        ('{"anatomy": {"slab_half_width_mm": 1}}',
+         "unknown config key 'anatomy.slab_half_width_mm'"),
     ])
     def test_file_rejection_names_key(self, tmp_path, content, message, capsys):
         path = tmp_path / "config.json"
@@ -393,8 +416,7 @@ class TestConfig:
             "lateral": "+x", "anterior": "+y", "longitudinal": "+z"}
 
     def test_dump_round_trips_through_config_file(self, tmp_path, capsys):
-        overrides = ["anatomy.use_spine_curve=true", "anatomy.slab_half_width_mm=1.25",
-                     "registration.mode=icp_vb", "icp.sample_count=500",
+        overrides = ["anatomy.use_spine_curve=true", "registration.mode=icp_vb", "icp.sample_count=500",
                      'facet.target_width_mm={"L1-L2":2,"L2-L3":1.5,"L3-L4":1.5,"L4-L5":1}',
                      'axes={"lateral":"-x","anterior":"-y","longitudinal":"+z"}']
         assert main(["config", "--dump", *(a for o in overrides for a in ("--set", o))]) == 0

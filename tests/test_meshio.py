@@ -123,11 +123,31 @@ class TestPly:
         path.write_text(
             "ply\nformat ascii 1.0\nelement vertex 3\n"
             "property float x\nproperty float y\nproperty float z\n"
-            "element face 1\nproperty list uchar int vertex_indices\n"
-            "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n"
+            "element face 2\nproperty list uchar int vertex_indices\n"
+            "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1 9\n"
         )
-        with pytest.raises(MeshParseError, match="out of range"):
+        with pytest.raises(MeshParseError) as exc:
             load_mesh(str(path))
+        assert str(exc.value) == (f"{path}: triangle 1 has a vertex index out of range: "
+                                  "[0, 1, 9] (vertex count 3)")
+
+    @pytest.mark.parametrize("vertices, faces, message", [
+        ("0 0 0\n1 abc 0\n0 1 0\n", "3 0 1 2\n", "vertex row 1 has a bad number in '1 abc 0'"),
+        ("0 0 0\n1 0 0\n0 1 0\n", "3 0 1 x\n", "face row 0 has a bad integer in '3 0 1 x'"),
+        ("0 0 0\n1 0 0\n0 1 0\n", "3.0 0 1 2\n",
+         "face row 0 has a bad integer in '3.0 0 1 2'"),
+    ])
+    def test_bad_ascii_number_names_the_row(self, tmp_path, vertices, faces, message):
+        path = tmp_path / "bad.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "element face 1\nproperty list uchar int vertex_indices\n"
+            "end_header\n" + vertices + faces
+        )
+        with pytest.raises(MeshParseError) as exc:
+            load_mesh(str(path))
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.ply"

@@ -43,8 +43,10 @@ def test_cli_block_runs(tmp_path):
 
 
 def test_documented_config_keys_are_the_settable_ones():
+    # the "Useful config keys" list, the paragraph after its heading line
     with open(README) as fh:
-        text = fh.read()
+        listing = fh.read().split("Useful config keys", 1)[1].split("\n\n")[1]
+    assert all(line.startswith(("- ", "  ")) for line in listing.splitlines())
     sections = "|".join(DEFAULTS)
-    documented = set(re.findall(rf"`((?:{sections})\.[a-z_]+)`", text))
+    documented = set(re.findall(rf"`((?:{sections})\.[a-z_]+)`", listing))
     assert documented == {f"{section}.{key}" for section, keys in DEFAULTS.items() for key in keys}

@@ -260,10 +260,10 @@ class TestRegisterSpine:
 
     def test_affine_recovery_per_level(self):
         spine = straight_spine()
-        atlas, targets, true_T = make_registration_case(
+        targets, _, true_T = make_registration_case(
             spine, rotation_deg=30.0, translation_mm=50.0,
             scale_range=(0.8, 1.25), seed=11)
-        run = register_spine(strip_anatomy(atlas), targets, "ours")
+        run = register_spine(strip_anatomy(spine), targets, "ours")
         for got, want in zip(run.transforms, true_T):
             np.testing.assert_allclose(got, want, atol=1e-6)
 
@@ -275,8 +275,7 @@ class TestRegisterSpine:
         kept = detect_spine_landmarks(
             SpineModel(tuple(v.with_(landmarks=lms, axes=None)
                              for v, lms in zip(spine.vertebrae, given))),
-            orientation_hint=PATIENT_AXES, cos_threshold=0.8, slab_half_width=None,
-            use_spine_curve=False)
+            orientation_hint=PATIENT_AXES, cos_threshold=0.8, use_spine_curve=False)
         assert all(a is b for a, b in zip(kept, given))
 
     def test_detection_builds_submeshes_only_when_a_level_needs_detecting(self, monkeypatch):
@@ -289,8 +288,7 @@ class TestRegisterSpine:
             return build(vertebra)
 
         monkeypatch.setattr(registration, "detection_mesh", counted)
-        options = dict(orientation_hint=PATIENT_AXES, cos_threshold=0.8,
-                       slab_half_width=None, use_spine_curve=True)
+        options = dict(orientation_hint=PATIENT_AXES, cos_threshold=0.8, use_spine_curve=True)
 
         kept = detect_spine_landmarks(spine, **options)
         assert built == []
@@ -333,10 +331,10 @@ class TestRegisterSpine:
 
     def test_icp_vb_mode_applies_to_full_mesh(self):
         spine = straight_spine(2)
-        atlas, targets, true_T = make_registration_case(
+        targets, _, true_T = make_registration_case(
             spine, rotation_deg=3.0, translation_mm=1.5, seed=3)
         run = register_spine(
-            atlas, targets, "icp_vb",
+            spine, targets, "icp_vb",
             icp_params=IcpParams(max_iterations=80, convergence_tol=1e-7))
         for got, want, v in zip(run.transforms, true_T, run.spine.vertebrae):
             r = got[:3, :3]
@@ -347,10 +345,10 @@ class TestRegisterSpine:
 
     def test_ours_icp_retains_scale(self):
         spine = straight_spine(2)
-        atlas, targets, true_T = make_registration_case(
+        targets, _, true_T = make_registration_case(
             spine, rotation_deg=10.0, translation_mm=10.0,
             scale_range=(0.9, 1.1), seed=4)
-        run = register_spine(strip_anatomy(atlas), targets, "ours_icp")
+        run = register_spine(strip_anatomy(spine), targets, "ours_icp")
         for got, want in zip(run.transforms, true_T):
             # the icp refinement of an exact affine is the identity
             np.testing.assert_allclose(got, want, atol=1e-6)
@@ -363,9 +361,9 @@ class TestRegisterSpine:
         from spinerecon.evaluation import point_to_model_distance
         from spinerecon.mesh import LABEL_VERTEBRAL_BODY
         spine = straight_spine()
-        atlas, targets, _ = make_registration_case(
+        targets, _, _ = make_registration_case(
             spine, rotation_deg=10.0, translation_mm=10.0, noise_sd=0.3, seed=0)
-        bare = strip_anatomy(atlas)
+        bare = strip_anatomy(spine)
         run_ours = register_spine(bare, targets, "ours")
         run_hybrid = register_spine(bare, targets, "ours_icp")
         for i in range(len(spine)):

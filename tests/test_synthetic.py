@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinerecon.evaluation import landmark_mae, measure_morphometrics
-from spinerecon.mesh import SurfaceIndex, face_normals, submesh_by_label
+from spinerecon.mesh import SurfaceIndex, face_normals, submesh_by_label, transform_mesh
 from spinerecon.registration import register_spine
 from spinerecon.spine import SpineModel
 from spinerecon.synthetic import (
@@ -89,7 +89,7 @@ class TestGenerateVertebra:
         ]
         for params in cases:
             mesh, truth, _ = generate_vertebra(params)
-            _, lms = detect_vertebra_landmarks(mesh)
+            lms = detect_vertebra_landmarks(mesh)
             err = np.linalg.norm(lms.points() - truth.points(), axis=1).max()
             assert err <= 1e-9
 
@@ -158,7 +158,7 @@ class TestGenerateSpine:
 class TestMakeRegistrationCase:
     def test_zero_perturbation_yields_identity(self):
         spine, _ = generate_spine(SpineParams())
-        _, targets, true_T = make_registration_case(spine, seed=0)
+        targets, _, true_T = make_registration_case(spine, seed=0)
         for T in true_T:
             np.testing.assert_allclose(T, np.eye(4), atol=1e-12)
         for v, t in zip(spine.vertebrae, targets.vertebrae):
@@ -167,7 +167,7 @@ class TestMakeRegistrationCase:
 
     def test_targets_are_body_only(self):
         spine, _ = generate_spine(SpineParams())
-        _, targets, _ = make_registration_case(
+        targets, _, _ = make_registration_case(
             spine, rotation_deg=10.0, translation_mm=5.0, seed=2)
         for t in targets.vertebrae:
             assert np.all(t.mesh.labels == 1)
@@ -175,8 +175,8 @@ class TestMakeRegistrationCase:
 
     def test_deterministic_per_seed(self):
         spine, _ = generate_spine(SpineParams())
-        _, t1, a1 = make_registration_case(spine, rotation_deg=20, translation_mm=30, seed=5)
-        _, t2, a2 = make_registration_case(spine, rotation_deg=20, translation_mm=30, seed=5)
+        t1, _, a1 = make_registration_case(spine, rotation_deg=20, translation_mm=30, seed=5)
+        t2, _, a2 = make_registration_case(spine, rotation_deg=20, translation_mm=30, seed=5)
         for x, y in zip(a1, a2):
             np.testing.assert_array_equal(x, y)
         for x, y in zip(t1.vertebrae, t2.vertebrae):
@@ -189,17 +189,47 @@ class TestMakeRegistrationCase:
         # do better than ~1.2 mm in expectation)
         spine, _ = generate_spine(SpineParams(fsu_angles=(0.0,) * 4,
                                               ivd_heights=(5.0,) * 4))
-        atlas, targets, true_T = make_registration_case(
+        targets, truth, _ = make_registration_case(
             spine, rotation_deg=15.0, translation_mm=20.0,
             scale_range=(0.9, 1.1), noise_sd=0.5, seed=0)
         bare = SpineModel(tuple(
-            v.with_(landmarks=None, axes=None) for v in atlas.vertebrae))
+            v.with_(landmarks=None, axes=None) for v in spine.vertebrae))
         run = register_spine(bare, targets, "ours")
-        maes = [
-            landmark_mae(v.landmarks, atlas.vertebrae[i].landmarks.transformed(true_T[i]))
-            for i, v in enumerate(run.spine.vertebrae)
-        ]
+        maes = [landmark_mae(v.landmarks, t.landmarks)
+                for v, t in zip(run.spine.vertebrae, truth.vertebrae)]
         assert float(np.mean(maes)) < 3.0
+
+    def test_ground_truth_is_the_spine_under_the_true_transforms(self):
+        spine, _ = generate_spine(SpineParams(seed=4))
+        _, truth, true_T = make_registration_case(
+            spine, rotation_deg=25.0, translation_mm=15.0, scale_range=(0.8, 1.25),
+            noise_sd=0.3, seed=9)
+        assert truth.levels == spine.levels
+        for v, t, T in zip(spine.vertebrae, truth.vertebrae, true_T):
+            want = transform_mesh(v.mesh, T)
+            np.testing.assert_array_equal(t.mesh.vertices, want.vertices)
+            np.testing.assert_array_equal(t.mesh.triangles, want.triangles)
+            np.testing.assert_array_equal(t.mesh.labels, want.labels)
+            np.testing.assert_array_equal(t.landmarks.points(),
+                                          v.landmarks.transformed(T).points())
+            # the linear part scales along the input axes, then rotates them
+            # onto the truth axes
+            moved = T[:3, :3] @ v.axes.as_matrix()
+            np.testing.assert_allclose(t.axes.as_matrix(),
+                                       moved / np.linalg.norm(moved, axis=0), atol=1e-12)
+
+    def test_ground_truth_is_a_valid_case_input(self):
+        spine, _ = generate_spine(SpineParams(seed=4))
+        _, truth, _ = make_registration_case(
+            spine, rotation_deg=25.0, translation_mm=15.0, scale_range=(0.8, 1.25), seed=9)
+        targets, again, true_T = make_registration_case(truth, seed=0)
+        for t, target, twice, T in zip(truth.vertebrae, targets.vertebrae,
+                                       again.vertebrae, true_T):
+            np.testing.assert_allclose(T, np.eye(4), atol=1e-12)
+            np.testing.assert_allclose(target.mesh.vertices,
+                                       submesh_by_label(t.mesh, 1).vertices, atol=1e-12)
+            np.testing.assert_allclose(twice.landmarks.points(), t.landmarks.points(),
+                                       atol=1e-12)
 
     def test_scale_range_validated(self):
         spine, _ = generate_spine(SpineParams())
