@@ -18,9 +18,12 @@ one, and plate-to-plate pairs the longitudinal one).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 from .mesh import (
     TriangleMesh,
@@ -233,6 +236,9 @@ class SpineCurve:
 
 def fit_spine_curve(centers) -> SpineCurve:
     """Interpolating natural cubic spline through ordered vertebra centers."""
+    # imported here: only anatomy.use_spine_curve=true fits a curve
+    from scipy.interpolate import CubicSpline
+
     pts = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     if len(pts) < 2:
         raise ValueError("need at least 2 centers to fit a spine curve")
@@ -322,12 +328,16 @@ def extract_endplates(mesh: TriangleMesh, axes: AxesEstimate,
             grown[adj_j[member[adj_i]]] = True
             grown[adj_i[member[adj_j]]] = True
             member = grown
-        # components of the dilated region; rank them by candidate count
+        # components of the dilated region, its triangles renumbered in order;
+        # rank them by candidate count, ties to the one holding the smallest triangle
+        members = np.flatnonzero(member)
+        local = np.full(mesh.n_triangles, -1, dtype=np.int64)
+        local[members] = np.arange(len(members))
         inside = member[adj_i] & member[adj_j]
-        _, comp = pair_component_labels(mesh.n_triangles, adj_i[inside], adj_j[inside])
-        counts = np.bincount(comp[candidate])
-        winner = int(np.argmax(counts))
-        return mesh.submesh(np.nonzero(candidate & (comp == winner))[0])
+        _, comp = pair_component_labels(len(members), local[adj_i[inside]], local[adj_j[inside]])
+        is_candidate = candidate[members]
+        winner = int(np.argmax(np.bincount(comp[is_candidate])))
+        return mesh.submesh(members[is_candidate & (comp == winner)])
 
     return plate(+1.0, "superior"), plate(-1.0, "inferior")
 

@@ -162,16 +162,21 @@ def cmd_evaluate(args) -> int:
     ground_truth = _load_spine_dir(args.ground_truth)
 
     reg_landmarks = {}
+    missing = []
     for level in registered.levels:
         path = os.path.join(args.registered, f"landmarks_{level}.json")
         if os.path.exists(path):
             reg_landmarks[level] = _load_level_landmarks(path, level)
-    if len(reg_landmarks) == len(registered):
+        else:
+            missing.append(path)
+    if not missing:
         registered = SpineModel(tuple(
             v.with_(landmarks=reg_landmarks[v.level]) for v in registered.vertebrae))
 
     gt_sets = None
     if args.gt_landmarks:
+        if missing:
+            raise ValueError(f"missing registered landmark file {missing[0]}")
         gt_sets = []
         for level in registered.levels:
             path = os.path.join(args.gt_landmarks, f"landmarks_{level}.json")

@@ -232,6 +232,7 @@ def _load_ply(path: str) -> TriangleMesh:
     if fmt == "ascii":
         text_rows = data[body_start:].decode("ascii", errors="replace").splitlines()
         row = 0
+        body_line = data.count(b"\n", 0, body_start) + 1  # 1-based file line of body row 0
         for elem in elements:
             rows = text_rows[row : row + elem["count"]]
             if len(rows) < elem["count"]:
@@ -239,11 +240,11 @@ def _load_ply(path: str) -> TriangleMesh:
                     f"{path}: element {elem['name']} expects {elem['count']} rows, "
                     f"found {len(rows)}"
                 )
-            row += elem["count"]
             if elem["name"] == "vertex":
-                verts, labels = _ply_vertices_ascii(path, elem, rows)
+                verts, labels = _ply_vertices_ascii(path, elem, rows, body_line + row)
             elif elem["name"] == "face":
-                tris = _ply_faces_ascii(path, elem, rows)
+                tris = _ply_faces_ascii(path, elem, rows, body_line + row)
+            row += elem["count"]
         if verts is None or tris is None:
             raise MeshParseError(f"{path}: PLY is missing vertex or face element")
     else:
@@ -262,7 +263,7 @@ def _load_ply(path: str) -> TriangleMesh:
     return TriangleMesh(verts, tris, labels)
 
 
-def _ply_vertices_ascii(path, elem, rows):
+def _ply_vertices_ascii(path, elem, rows, first_line):
     names = []
     for p in elem["props"]:
         if p[0] != "scalar":
@@ -275,11 +276,13 @@ def _ply_vertices_ascii(path, elem, rows):
     for i, row in enumerate(rows):
         tokens = row.split()
         if len(tokens) != len(names):
-            raise MeshParseError(f"{path}: vertex row {i} has {len(tokens)} values, expected {len(names)}")
+            raise MeshParseError(f"{path}:{first_line + i}: vertex row has {len(tokens)} values, "
+                                 f"expected {len(names)}")
         try:
             table[i] = [float(t) for t in tokens]
         except ValueError:
-            raise MeshParseError(f"{path}: vertex row {i} has a bad number in {row!r}") from None
+            raise MeshParseError(
+                f"{path}:{first_line + i}: vertex row has a bad number in {row!r}") from None
     verts = table[:, [names.index("x"), names.index("y"), names.index("z")]]
     labels = None
     if "region" in names:
@@ -287,20 +290,22 @@ def _ply_vertices_ascii(path, elem, rows):
     return verts, labels
 
 
-def _ply_faces_ascii(path, elem, rows):
+def _ply_faces_ascii(path, elem, rows, first_line):
     tris = np.empty((elem["count"], 3), dtype=np.int64)
     for i, row in enumerate(rows):
         tokens = row.split()
         if not tokens:
-            raise MeshParseError(f"{path}: empty face row {i}")
+            raise MeshParseError(f"{path}:{first_line + i}: empty face row")
         try:
             n, *corners = (int(t) for t in tokens[:4])
         except ValueError:
-            raise MeshParseError(f"{path}: face row {i} has a bad integer in {row!r}") from None
+            raise MeshParseError(
+                f"{path}:{first_line + i}: face row has a bad integer in {row!r}") from None
         if n != 3:
-            raise MeshParseError(f"{path}: face row {i} has {n} vertices; only triangles supported")
+            raise MeshParseError(
+                f"{path}:{first_line + i}: face row has {n} vertices; only triangles supported")
         if len(corners) < 3:
-            raise MeshParseError(f"{path}: face row {i} is truncated")
+            raise MeshParseError(f"{path}:{first_line + i}: face row is truncated")
         tris[i] = corners
     return tris
 

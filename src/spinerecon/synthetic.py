@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .anatomy import AxesEstimate, LandmarkSet, PATIENT_AXES
 from .evaluation import MorphometricRecord
@@ -273,6 +272,14 @@ def _rot_x(angle_rad: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
+def _rotvec_matrix(rotvec: np.ndarray) -> np.ndarray:
+    """Rotation matrix of a rotation vector (axis times angle in radians)."""
+    # imported here, so that importing the package loads no SciPy
+    from scipy.spatial.transform import Rotation
+
+    return Rotation.from_rotvec(rotvec).as_matrix()
+
+
 def _rigid(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
     out = np.eye(4)
     out[:3, :3] = rotation
@@ -316,8 +323,7 @@ def generate_spine(params: SpineParams) -> tuple[SpineModel, MorphometricRecord]
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(0.0, math.radians(8.0))
-        pose = _rigid(Rotation.from_rotvec(angle * axis).as_matrix(),
-                      rng.uniform(-15.0, 15.0, 3))
+        pose = _rigid(_rotvec_matrix(angle * axis), rng.uniform(-15.0, 15.0, 3))
 
     vertebrae = []
     for i, (p, (mesh, lms, axes)) in enumerate(zip(params.vertebrae, local)):
@@ -377,7 +383,7 @@ def make_registration_case(spine: SpineModel, *, rotation_deg: float = 0.0,
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         angle = math.radians(rng.uniform(0.0, rotation_deg))
-        r3 = Rotation.from_rotvec(angle * axis).as_matrix()
+        r3 = _rotvec_matrix(angle * axis)
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         translation = rng.uniform(0.0, translation_mm) * direction

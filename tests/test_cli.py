@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import spinerecon
 from spinerecon.cli import main
 from spinerecon.config import build_config
 from spinerecon.meshio import load_mesh, save_mesh
@@ -466,6 +467,56 @@ def test_evaluate_rejects_landmark_file_of_another_level(swapped_in, synth_dir, 
                  "--gt-landmarks", dirs["gt_landmarks"], "--out", str(out)]) == 1
     assert f"landmark file {l2} holds level 'L3', expected 'L2'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_evaluate_names_a_missing_registered_landmark_file(synth_dir, recon_dir, tmp_path,
+                                                           capsys):
+    registered = tmp_path / "registered"
+    shutil.copytree(recon_dir, registered)
+    (registered / "landmarks_L3.json").unlink()
+    out = tmp_path / "out"
+    assert main(["evaluate", "--registered", str(registered), "--ground-truth", synth_dir,
+                 "--gt-landmarks", synth_dir, "--out", str(out)]) == 1
+    assert (f"error: missing registered landmark file {registered / 'landmarks_L3.json'}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+_SCIPY_PROBE = """
+import json, sys
+from spinerecon.cli import main
+
+synth, out = sys.argv[1:]
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+meshes = [f"{synth}/vertebra_L{k}.ply" for k in range(1, 6)]
+assert main(["landmarks", *meshes, "--out", f"{out}/landmarks"]) == 0
+loaded["landmarks"] = scipy_modules()
+assert main(["reconstruct", "--atlas", synth, "--targets", synth, "--out", f"{out}/recon",
+             "--mode", "ours"]) == 0
+loaded["reconstruct"] = scipy_modules()
+assert main(["evaluate", "--registered", f"{out}/recon", "--ground-truth", synth,
+             "--gt-landmarks", synth, "--out", f"{out}/eval"]) == 0
+loaded["evaluate"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_subcommands_load_only_the_scipy_they_run(synth_dir, tmp_path):
+    # a fresh process: landmark detection and closed-form registration need
+    # no SciPy, and evaluation's k-d trees need scipy.spatial, not the spline
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinerecon.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, synth_dir, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert loaded["import"] == loaded["landmarks"] == loaded["reconstruct"] == []
+    assert "scipy.spatial" in loaded["evaluate"]
+    assert "scipy.interpolate" not in loaded["evaluate"]
 
 
 def test_console_entry_point():

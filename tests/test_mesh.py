@@ -418,6 +418,35 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
+@settings(max_examples=20, deadline=None)
+@given(mixed_meshes())
+def test_surface_query_chunk_seams_match_brute_force_bit_for_bit(case):
+    # more queries than one chunk, points on and off the surface; the
+    # rows repeat, so the brute-force scan runs once per distinct point
+    mesh, rng = case
+    base = np.vstack([
+        mesh.vertices,
+        points_on_edges(mesh.vertices, mesh.triangles, rng, 20),
+        rng.uniform(-12.0, 12.0, (20, 3)),
+    ])
+    rows = np.arange(SurfaceIndex._CHUNK + 13) % len(base)
+    queries = base[rows]
+    p_ref, d_ref = closest_point_brute_force(mesh, base)
+    index = SurfaceIndex(mesh)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SurfaceIndex, "_CHUNK", len(queries))
+        p_one, d_one = index.query(queries)
+    np.testing.assert_array_equal(_bits(p_one), _bits(p_ref[rows]))
+    np.testing.assert_array_equal(_bits(d_one), _bits(d_ref[rows]))
+    for chunk in (1, 7, SurfaceIndex._CHUNK):
+        count = min(len(queries), 9 * chunk + 4)  # several seams, the last chunk partial
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SurfaceIndex, "_CHUNK", chunk)
+            p, d = index.query(queries[:count])
+        np.testing.assert_array_equal(_bits(p), _bits(p_one[:count]))
+        np.testing.assert_array_equal(_bits(d), _bits(d_one[:count]))
+
+
 def assert_direct_search_matches(mesh, queries):
     """_nearest_on_triangles against SurfaceIndex and brute force, bit patterns."""
     p_dir, d_dir = _nearest_on_triangles(mesh.triangle_points(), queries)

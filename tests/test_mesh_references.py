@@ -2,9 +2,9 @@
 
 Each reference below is the earlier form of a library function (np.unique,
 lexsort, mean(axis=1), np.add.at, column min/max, np.setdiff1d, a k-d tree,
-a per-call triangle scan, a SurfaceIndex per facet). The library must
-match it bit for bit, on meshes with unreferenced vertices, zero-area
-triangles and edges shared by three or more triangles.
+a per-call triangle scan, a SurfaceIndex per facet, scipy's csgraph). The
+library must match it bit for bit, on meshes with unreferenced vertices,
+zero-area triangles and edges shared by three or more triangles.
 """
 
 import logging
@@ -14,22 +14,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as csgraph_components
 
 import spinerecon as sr
 import spinerecon.facets as facets_module
 import spinerecon.mesh as mesh_module
-from helpers import sheet_mesh
+from helpers import ellipse_disk, sheet_mesh
+from spinerecon.anatomy import PATIENT_AXES, _BRIDGE_HOPS, estimate_axes, extract_endplates
 from spinerecon.facets import GapReport, elastic_warp, measure_gap
 from spinerecon.mesh import (
     LABEL_FACET_INFERIOR_LEFT,
     LABEL_FACET_SUPERIOR_LEFT,
+    LABEL_VERTEBRAL_BODY,
     SurfaceIndex,
     TriangleMesh,
     center_of_mass,
+    face_normals,
     median_edge_length,
+    pair_component_labels,
     principal_axes,
+    submesh_by_label,
     triangle_adjacency,
 )
+from spinerecon.synthetic import default_vertebra_params, generate_vertebra
 
 
 def reference_submesh(mesh, triangle_indices):
@@ -175,6 +183,91 @@ def test_triangle_adjacency_matches_lexsort_reference(case):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
+
+
+def reference_pair_component_labels(n_triangles, i, j):
+    graph = coo_matrix((np.ones(len(i)), (i, j)), shape=(n_triangles, n_triangles))
+    return csgraph_components(graph, directed=False)
+
+
+@st.composite
+def edge_lists(draw):
+    """Graphs with isolated nodes, self-loops, repeated edges, or no nodes or edges."""
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return 0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    edges += [(k, k) for k in draw(st.lists(node, max_size=3))]  # self-loops
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []  # repeats
+    i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return n, i, j
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_lists())
+def test_pair_component_labels_match_csgraph(graph):
+    n, i, j = graph
+    count, labels = pair_component_labels(n, i, j)
+    want_count, want_labels = reference_pair_component_labels(n, i, j)
+    assert count == want_count
+    np.testing.assert_array_equal(labels, want_labels)
+
+
+def reference_extract_endplates(mesh, axes, cos_threshold=0.8):
+    """Endplates with every triangle of the mesh labelled by csgraph."""
+    dots = face_normals(mesh) @ axes.longitudinal
+    adj_i, adj_j = triangle_adjacency(mesh)
+    plates = []
+    for sign in (1.0, -1.0):
+        candidate = sign * dots >= cos_threshold
+        member = candidate.copy()
+        for _ in range(_BRIDGE_HOPS):
+            grown = member.copy()
+            grown[adj_j[member[adj_i]]] = True
+            grown[adj_i[member[adj_j]]] = True
+            member = grown
+        inside = member[adj_i] & member[adj_j]
+        _, comp = reference_pair_component_labels(mesh.n_triangles, adj_i[inside], adj_j[inside])
+        winner = int(np.argmax(np.bincount(comp[candidate])))
+        plates.append(mesh.submesh(np.nonzero(candidate & (comp == winner))[0]))
+    return plates
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_extract_endplates_matches_all_triangle_labelling(seed):
+    # noisy bodies split each plate into up to a dozen candidate regions
+    rng = np.random.default_rng(seed)
+    level = ("L1", "L2", "L3", "L4", "L5", "L3")[seed]
+    mesh, _, _ = generate_vertebra(default_vertebra_params(level, tessellation_edge=3.0))
+    body = submesh_by_label(mesh, LABEL_VERTEBRAL_BODY)
+    body = TriangleMesh(body.vertices + rng.normal(0.0, 0.3 + 0.1 * seed, body.vertices.shape),
+                        body.triangles)
+    axes = estimate_axes(body)
+    for cos_threshold in (0.8, 0.95):
+        for got, want in zip(extract_endplates(body, axes, cos_threshold),
+                             reference_extract_endplates(body, axes, cos_threshold)):
+            np.testing.assert_array_equal(got.vertices, want.vertices)
+            np.testing.assert_array_equal(got.triangles, want.triangles)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_extract_endplates_tie_goes_to_the_component_of_the_smallest_triangle(seed):
+    # two equal disks face each way; the triangle order is shuffled, so either
+    # disk may hold the smallest triangle of its plate
+    rng = np.random.default_rng(seed)
+    disks = [ellipse_disk(6.0, 4.0, edge=2.0, z=z) for z in (0.0, 30.0, -20.0, -50.0)]
+    n = disks[0].n_vertices  # the same tessellation each time
+    tris = np.vstack([(d.triangles[:, ::-1] if k >= 2 else d.triangles) + k * n
+                      for k, d in enumerate(disks)])
+    tris = tris[rng.permutation(len(tris))]
+    mesh = TriangleMesh(np.vstack([d.vertices for d in disks]), tris)
+    got = extract_endplates(mesh, PATIENT_AXES)
+    for g, w in zip(got, reference_extract_endplates(mesh, PATIENT_AXES)):
+        np.testing.assert_array_equal(g.vertices, w.vertices)
+        np.testing.assert_array_equal(g.triangles, w.triangles)
+    first_up = tris[np.flatnonzero(tris.max(axis=1) < 2 * n)[0]]  # of disk 0 or disk 1
+    assert got[0].vertices[0, 2] == (0.0 if first_up.max() < n else 30.0)
 
 
 def test_triangle_adjacency_chains_an_edge_shared_by_three_triangles():

@@ -131,13 +131,14 @@ class TestPly:
         assert str(exc.value) == (f"{path}: triangle 1 has a vertex index out of range: "
                                   "[0, 1, 9] (vertex count 3)")
 
-    @pytest.mark.parametrize("vertices, faces, message", [
-        ("0 0 0\n1 abc 0\n0 1 0\n", "3 0 1 2\n", "vertex row 1 has a bad number in '1 abc 0'"),
-        ("0 0 0\n1 0 0\n0 1 0\n", "3 0 1 x\n", "face row 0 has a bad integer in '3 0 1 x'"),
+    @pytest.mark.parametrize("vertices, faces, message, line", [
+        ("0 0 0\n1 abc 0\n0 1 0\n", "3 0 1 2\n", "vertex row has a bad number in '1 abc 0'", 11),
+        ("0 0 0\n1 0 0\n0 1 0\n", "3 0 1 x\n", "face row has a bad integer in '3 0 1 x'", 13),
         ("0 0 0\n1 0 0\n0 1 0\n", "3.0 0 1 2\n",
-         "face row 0 has a bad integer in '3.0 0 1 2'"),
+         "face row has a bad integer in '3.0 0 1 2'", 13),
     ])
-    def test_bad_ascii_number_names_the_row(self, tmp_path, vertices, faces, message):
+    def test_bad_ascii_number_names_the_row(self, tmp_path, vertices, faces, message, line):
+        # the message names the 1-based file line, as header, STL and OBJ errors do
         path = tmp_path / "bad.ply"
         path.write_text(
             "ply\nformat ascii 1.0\nelement vertex 3\n"
@@ -147,7 +148,7 @@ class TestPly:
         )
         with pytest.raises(MeshParseError) as exc:
             load_mesh(str(path))
-        assert str(exc.value) == f"{path}: {message}"
+        assert str(exc.value) == f"{path}:{line}: {message}"
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.ply"
