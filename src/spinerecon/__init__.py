@@ -14,14 +14,12 @@ from .anatomy import (
     AxesEstimate,
     LandmarkSet,
     PATIENT_AXES,
-    SpineCurve,
     VertebraFrame,
     compute_frame,
     detect_landmarks,
     detect_vertebra_landmarks,
     estimate_axes,
     extract_endplates,
-    fit_spine_curve,
 )
 from .evaluation import (
     MorphometricRecord,
@@ -47,8 +45,6 @@ from .mesh import (
     SurfaceIndex,
     TriangleMesh,
     center_of_mass,
-    closest_point_brute_force,
-    connected_components,
     face_normals,
     principal_axes,
     submesh_by_label,

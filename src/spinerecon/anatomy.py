@@ -18,12 +18,8 @@ one, and plate-to-plate pairs the longitudinal one).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 from .mesh import (
     TriangleMesh,
@@ -217,25 +213,9 @@ def compute_frame(landmarks: LandmarkSet) -> VertebraFrame:
     return VertebraFrame(x_g, y_g, z_g, c_g)
 
 
-@dataclass(frozen=True)
-class SpineCurve:
-    """Natural cubic spline through vertebra centers, chord-length parameterized."""
-
-    control_points: np.ndarray
-    params: np.ndarray
-    spline: CubicSpline
-
-    def tangent(self, s: float) -> np.ndarray:
-        """Unit tangent at parameter s."""
-        return _unit(self.spline(s, 1), "spline tangent")
-
-    def control_tangents(self) -> np.ndarray:
-        """Unit tangents at every control point, shape (n, 3)."""
-        return np.array([self.tangent(s) for s in self.params])
-
-
-def fit_spine_curve(centers) -> SpineCurve:
-    """Interpolating natural cubic spline through ordered vertebra centers."""
+def spine_curve_tangents(centers) -> np.ndarray:
+    """Unit tangents, shape (n, 3), at the ordered vertebra centers of the
+    natural cubic spline through them, chord-length parameterized."""
     # imported here: only anatomy.use_spine_curve=true fits a curve
     from scipy.interpolate import CubicSpline
 
@@ -247,7 +227,7 @@ def fit_spine_curve(centers) -> SpineCurve:
         raise ValueError("consecutive centers are coincident")
     params = np.concatenate([[0.0], np.cumsum(steps)])
     spline = CubicSpline(params, pts, axis=0, bc_type="natural")
-    return SpineCurve(pts, params, spline)
+    return np.array([_unit(spline(s, 1), "spline tangent") for s in params])
 
 
 def estimate_axes(mesh: TriangleMesh, curve_tangent=None,

@@ -102,16 +102,6 @@ class MorphometricRecord:
     ivd_height: dict[str, float]
     fsu_angle: dict[str, float]
 
-    def __post_init__(self):
-        for name in ("vb_width", "vb_depth", "vb_height", "ivd_height"):
-            if any(v <= 0 for v in getattr(self, name).values()):
-                raise ValueError(f"{name} values must be positive")
-        if any(not -90.0 < v < 90.0 for v in self.fsu_angle.values()):
-            raise ValueError("fsu angles must lie in (-90, 90) degrees")
-
-    def pair_names(self) -> list[str]:
-        return [pair_name(a, b) for a, b in zip(self.levels[:-1], self.levels[1:])]
-
     def to_dict(self) -> dict:
         return {
             "levels": list(self.levels),
@@ -122,22 +112,14 @@ class MorphometricRecord:
             "fsu_angle_deg": self.fsu_angle,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MorphometricRecord":
-        return cls(
-            levels=tuple(d["levels"]),
-            vb_width=dict(d["vb_width_mm"]),
-            vb_depth=dict(d["vb_depth_mm"]),
-            vb_height=dict(d["vb_height_mm"]),
-            ivd_height=dict(d["ivd_height_mm"]),
-            fsu_angle=dict(d["fsu_angle_deg"]),
-        )
 
+def measure_morphometrics(levels, landmark_sets) -> MorphometricRecord:
+    """All morphometric measurements from one landmark set per level.
 
-def _measure_raw(levels, landmark_sets) -> dict[str, dict[str, float]]:
-    """Unvalidated measurement tables; a bad registration may yield
-    non-positive disc heights (the measurement still carries meaning
-    for error reporting)."""
+    Nothing is range-checked: a misregistered spine may measure a
+    negative disc height (warned by `ivd_height`), and that value still
+    counts in its error.
+    """
     levels = list(levels)
     sets = list(landmark_sets)
     if len(levels) != len(sets):
@@ -155,15 +137,7 @@ def _measure_raw(levels, landmark_sets) -> dict[str, dict[str, float]]:
         name = pair_name(levels[i], levels[i + 1])
         ivd[name] = ivd_height(upper, lower, axis)
         fsu[name] = fsu_angle(upper, lower, lateral)
-    return {"levels": levels, "width": width, "depth": depth, "height": height,
-            "ivd": ivd, "fsu": fsu}
-
-
-def measure_morphometrics(levels, landmark_sets) -> MorphometricRecord:
-    """All morphometric measurements from one landmark set per level."""
-    raw = _measure_raw(levels, landmark_sets)
-    return MorphometricRecord(tuple(raw["levels"]), raw["width"], raw["depth"],
-                              raw["height"], raw["ivd"], raw["fsu"])
+    return MorphometricRecord(tuple(levels), width, depth, height, ivd, fsu)
 
 
 @dataclass(frozen=True)
@@ -260,20 +234,18 @@ def evaluate_reconstruction(registered: SpineModel, ground_truth: SpineModel,
             v.level: landmark_mae(reg, gt)
             for v, reg, gt in zip(registered.vertebrae, reg_sets, gt_sets)
         }
-        # raw tables: a misregistered baseline may measure a negative
-        # disc height (warned), which still contributes to its error
-        reg_raw = _measure_raw(registered.levels, reg_sets)
-        gt_raw = _measure_raw(registered.levels, gt_sets)
+        reg_morph = measure_morphometrics(registered.levels, reg_sets)
+        gt_morph = measure_morphometrics(registered.levels, gt_sets)
 
-        def mae(key: str) -> float:
-            a, b = reg_raw[key], gt_raw[key]
+        def mae(field: str) -> float:
+            a, b = getattr(reg_morph, field), getattr(gt_morph, field)
             return float(np.mean([abs(a[k] - b[k]) for k in a]))
 
-        width_mae = mae("width")
-        depth_mae = mae("depth")
-        height_mae = mae("height")
-        ivd_mae = mae("ivd")
-        fsu_mae = mae("fsu")
+        width_mae = mae("vb_width")
+        depth_mae = mae("vb_depth")
+        height_mae = mae("vb_height")
+        ivd_mae = mae("ivd_height")
+        fsu_mae = mae("fsu_angle")
 
     return RegistrationReport(
         mode=mode,

@@ -209,29 +209,6 @@ def pair_component_labels(n_triangles: int, i, j) -> tuple[int, np.ndarray]:
     return int(root.sum()), (np.cumsum(root) - 1).take(parent)
 
 
-def triangle_component_labels(mesh: TriangleMesh) -> tuple[int, np.ndarray]:
-    """Edge-connected component count and a label per triangle."""
-    return pair_component_labels(mesh.n_triangles, *triangle_adjacency(mesh))
-
-
-def connected_components(mesh: TriangleMesh) -> list[TriangleMesh]:
-    """Partition into edge-connected triangle components.
-
-    Two triangles are connected iff they share an edge (two vertex
-    indices); sharing a single vertex does not connect them. Components
-    are re-indexed compactly and sorted by triangle count descending.
-    """
-    m = mesh.n_triangles
-    if m == 0:
-        return []
-    n_comp, comp = triangle_component_labels(mesh)
-    sizes = np.bincount(comp, minlength=n_comp)
-    first_tri = np.full(n_comp, m, dtype=np.int64)
-    np.minimum.at(first_tri, comp, np.arange(m))
-    comp_order = np.lexsort((first_tri, -sizes))
-    return [mesh.submesh(np.nonzero(comp == c)[0]) for c in comp_order]
-
-
 def _vertex_area_weights(mesh: TriangleMesh) -> np.ndarray:
     # bincount adds the weights of column 0, then 1, then 2, each in row order:
     # the additions of np.add.at once per column, so every sum keeps its bits
@@ -385,25 +362,6 @@ def closest_points_on_triangles(tri: np.ndarray, pts: np.ndarray) -> np.ndarray:
             best_p[better] = cand[better]
         out[rem] = best_p
     return out
-
-
-def closest_point_brute_force(mesh: TriangleMesh, points) -> tuple[np.ndarray, np.ndarray]:
-    """Reference nearest-point query scanning every triangle.
-
-    Returns (closest_points (q, 3), distances (q,)). Ties resolve to the
-    smallest triangle index.
-    """
-    pts = _as_points(points)
-    tri = mesh.triangle_points()
-    out_p = np.empty_like(pts)
-    out_d = np.empty(len(pts))
-    for qi, p in enumerate(pts):
-        cand = closest_points_on_triangles(tri, np.broadcast_to(p, (len(tri), 3)))
-        d = np.linalg.norm(cand - p, axis=1)
-        best = int(np.argmin(d))
-        out_p[qi] = cand[best]
-        out_d[qi] = d[best]
-    return out_p, out_d
 
 
 def _triangle_boxes(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

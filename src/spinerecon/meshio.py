@@ -13,6 +13,7 @@ are parsed line by line, and errors name the line or byte at fault.
 from __future__ import annotations
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -33,6 +34,8 @@ _PLY_TYPES = {
 }
 _PLY_INT_TYPES = {"char", "int8", "uchar", "uint8", "short", "int16",
                   "ushort", "uint16", "int", "int32", "uint", "uint32"}
+# the header ends at the first line holding only this keyword (and trailing blanks)
+_PLY_END_HEADER = re.compile(rb"^end_header[ \t\r]*$", re.M)
 
 
 class MeshParseError(ValueError):
@@ -186,11 +189,13 @@ def _load_ply(path: str) -> TriangleMesh:
         raise MeshParseError(f"{path}: missing 'ply' magic at byte 0")
 
     # header
-    end = data.find(b"end_header")
-    if end < 0:
+    end = _PLY_END_HEADER.search(data)
+    if end is None:
         raise MeshParseError(f"{path}: no end_header")
-    body_start = data.find(b"\n", end) + 1
-    header_lines = data[:end].decode("ascii", errors="replace").splitlines()
+    if end.end() == len(data):
+        raise MeshParseError(f"{path}: data truncated after end_header at byte {len(data)}")
+    body_start = end.end() + 1
+    header_lines = data[:end.start()].decode("ascii", errors="replace").splitlines()
 
     fmt = None
     elements: list[dict] = []
@@ -286,8 +291,21 @@ def _ply_vertices_ascii(path, elem, rows, first_line):
     verts = table[:, [names.index("x"), names.index("y"), names.index("z")]]
     labels = None
     if "region" in names:
-        labels = table[:, names.index("region")].astype(np.int64)
+        k = names.index("region")
+        bad = _first_bad_region(table[:, k])
+        if bad is not None:
+            raise MeshParseError(f"{path}:{first_line + bad}: region value "
+                                 f"{rows[bad].split()[k]!r} is not a 64-bit integer")
+        labels = table[:, k].astype(np.int64)
     return verts, labels
+
+
+def _first_bad_region(values: np.ndarray) -> int | None:
+    """Index of the first region value that is not an integer in the int64 range."""
+    if values.dtype.kind != "f":
+        return None
+    ok = (np.floor(values) == values) & (values >= -2.0**63) & (values < 2.0**63)
+    return None if ok.all() else int(np.argmin(ok))
 
 
 def _ply_faces_ascii(path, elem, rows, first_line):
@@ -328,7 +346,13 @@ def _ply_vertices_binary(path, elem, data, offset):
         if need not in names:
             raise MeshParseError(f"{path}: vertex element lacks property {need!r}")
     verts = np.column_stack([col("x"), col("y"), col("z")]).astype(np.float64)
-    labels = col("region").astype(np.int64) if "region" in names else None
+    labels = None
+    if "region" in names:
+        bad = _first_bad_region(col("region"))
+        if bad is not None:
+            raise MeshParseError(f"{path}: vertex {bad}: region value "
+                                 f"{float(col('region')[bad])!r} is not a 64-bit integer")
+        labels = col("region").astype(np.int64)
     return verts, labels, offset + nbytes
 
 

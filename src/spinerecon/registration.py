@@ -23,7 +23,7 @@ from .anatomy import (
     VertebraFrame,
     compute_frame,
     detect_vertebra_landmarks,
-    fit_spine_curve,
+    spine_curve_tangents,
 )
 from .mesh import (
     LABEL_VERTEBRAL_BODY,
@@ -185,8 +185,7 @@ def detect_spine_landmarks(spine: SpineModel, *, orientation_hint: AxesEstimate,
     meshes = [detection_mesh(v) for v in spine.vertebrae]
     tangents = [None] * len(meshes)
     if use_spine_curve and len(meshes) >= 2:
-        curve = fit_spine_curve([center_of_mass(m) for m in meshes])
-        tangents = list(curve.control_tangents())
+        tangents = list(spine_curve_tangents([center_of_mass(m) for m in meshes]))
 
     results = []
     for vertebra, mesh, tangent in zip(spine.vertebrae, meshes, tangents):

@@ -128,21 +128,3 @@ def save_transforms(path: str, levels: list[str], transforms: list[np.ndarray]) 
         for lvl, T in zip(levels, transforms)
     ]
     write_json(path, payload)
-
-
-def load_transforms(path: str) -> dict[str, np.ndarray]:
-    """Level -> 4x4 matrix from a file written by `save_transforms`."""
-    payload = _read_json(path, "transforms file")
-    if not isinstance(payload, list):
-        raise ValueError(f"transforms file {path} must hold a JSON list")
-    out = {}
-    for i, entry in enumerate(payload):
-        try:
-            level, matrix = entry["level"], np.asarray(entry["matrix"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError):
-            matrix = None
-        if matrix is None or matrix.shape != (4, 4):
-            raise ValueError(f"transforms file {path}: entry {i} must be an object with "
-                             "a 'level' and a 4x4 'matrix' of numbers")
-        out[level] = matrix
-    return out

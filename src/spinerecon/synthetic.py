@@ -96,6 +96,8 @@ class SpineParams:
             raise ValueError("ivd_heights and fsu_angles need one value per adjacent pair")
         if any(v <= 0 for v in self.ivd_heights):
             raise ValueError("disc heights must be positive")
+        if any(not -90.0 < v < 90.0 for v in self.fsu_angles):
+            raise ValueError("fsu angles must lie in (-90, 90) degrees")
 
 
 def _ellipse_ring(a: float, b: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -348,12 +350,6 @@ def generate_spine(params: SpineParams) -> tuple[SpineModel, MorphometricRecord]
                    for i in range(n - 1)},
     )
     return spine, record
-
-
-def expected_facet_gap(params: SpineParams, pair_index: int) -> float:
-    """Analytic stacked facet gap for a straight (zero-angle) stack."""
-    upper = params.vertebrae[pair_index]
-    return params.ivd_heights[pair_index] - FACET_DROP_MM - upper.facet_gap_offset
 
 
 def make_registration_case(spine: SpineModel, *, rotation_deg: float = 0.0,

@@ -2,7 +2,9 @@
 
 The closest-point oracle here deliberately uses a different
 formulation (normal-equations solve plus edge clamping) than the
-library kernel so the two can check each other.
+library kernel so the two can check each other. The brute-force scan
+uses the library kernel on every triangle, so spatial-index queries
+can be compared with it bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from spinerecon.mesh import TriangleMesh
+from spinerecon.mesh import TriangleMesh, _as_points, closest_points_on_triangles
+from spinerecon.synthetic import FACET_DROP_MM, SpineParams
 
 
 def random_rigid(rng, max_angle_deg=180.0, max_translation=100.0) -> np.ndarray:
@@ -139,6 +142,31 @@ def oracle_closest_point(mesh: TriangleMesh, point) -> tuple[np.ndarray, float]:
                 best_d = d
                 best_p = q
     return best_p, best_d
+
+
+def closest_point_brute_force(mesh: TriangleMesh, points) -> tuple[np.ndarray, np.ndarray]:
+    """Reference nearest-point query scanning every triangle.
+
+    Returns (closest_points (q, 3), distances (q,)). Ties resolve to the
+    smallest triangle index.
+    """
+    pts = _as_points(points)
+    tri = mesh.triangle_points()
+    out_p = np.empty_like(pts)
+    out_d = np.empty(len(pts))
+    for qi, p in enumerate(pts):
+        cand = closest_points_on_triangles(tri, np.broadcast_to(p, (len(tri), 3)))
+        d = np.linalg.norm(cand - p, axis=1)
+        best = int(np.argmin(d))
+        out_p[qi] = cand[best]
+        out_d[qi] = d[best]
+    return out_p, out_d
+
+
+def expected_facet_gap(params: SpineParams, pair_index: int) -> float:
+    """Analytic stacked facet gap for a straight (zero-angle) stack."""
+    upper = params.vertebrae[pair_index]
+    return params.ivd_heights[pair_index] - FACET_DROP_MM - upper.facet_gap_offset
 
 
 def rotation_angle_deg(r: np.ndarray) -> float:

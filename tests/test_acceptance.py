@@ -11,14 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_rigid, rotation_angle_deg
+from helpers import closest_point_brute_force, random_rigid, rotation_angle_deg
 from spinerecon.anatomy import LandmarkSet, PATIENT_AXES, detect_vertebra_landmarks
 from spinerecon.cli import main as cli_main
 from spinerecon.evaluation import measure_morphometrics, point_to_model_distance
 from spinerecon.facets import align_facets, facet_gap_summary
 from spinerecon.mesh import (
     SurfaceIndex,
-    closest_point_brute_force,
     submesh_by_label,
     transform_mesh,
 )
@@ -138,7 +137,7 @@ def test_criterion_5_morphometric_round_trip():
         for v in spine.vertebrae:
             detected.append(detect_vertebra_landmarks(submesh_by_label(v.mesh, 1)))
         measured = measure_morphometrics(spine.levels, detected)
-        for pair in record.pair_names():
+        for pair in record.ivd_height:
             worst_angle = max(worst_angle,
                               abs(measured.fsu_angle[pair] - record.fsu_angle[pair]))
             worst_ivd = max(worst_ivd,
@@ -241,7 +240,7 @@ def test_criterion_9_equivariance_suite():
             assert abs(moved.vb_width[lvl] - base_morph.vb_width[lvl]) < 1e-6
             assert abs(moved.vb_depth[lvl] - base_morph.vb_depth[lvl]) < 1e-6
             assert abs(moved.vb_height[lvl] - base_morph.vb_height[lvl]) < 1e-6
-        for pair in base_morph.pair_names():
+        for pair in base_morph.ivd_height:
             assert abs(moved.ivd_height[pair] - base_morph.ivd_height[pair]) < 1e-6
             assert abs(moved.fsu_angle[pair] - base_morph.fsu_angle[pair]) < 0.01
     report(9, "landmarks, dimensions, disc heights, and unit angles equivariant "

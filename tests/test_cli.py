@@ -65,6 +65,18 @@ class TestSynth:
         assert "tilt" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fsu_angle_out_of_range_rejected(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "levels": [{"level": "L1"}, {"level": "L2"}],
+            "ivd_heights": [5.0], "fsu_angles": [95.0],
+        }))
+        out = tmp_path / "out"
+        assert main(["synth", "--params", str(params), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --params {params}: fsu angles must lie in (-90, 90) degrees\n")
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def perturbed_targets(tmp_path_factory):
@@ -201,31 +213,11 @@ class TestReconstructEvaluate:
         assert sum(n.startswith("landmarks_") for n in names) == 5
 
     def test_identity_case_transforms_are_identity(self, recon_dir):
-        from spinerecon.spine import load_transforms
-        transforms = load_transforms(os.path.join(recon_dir, "transforms.json"))
-        for T in transforms.values():
-            np.testing.assert_allclose(T, np.eye(4), atol=1e-9)
-
-    BAD_ENTRY = "must be an object with a 'level' and a 4x4 'matrix' of numbers"
-
-    @pytest.mark.parametrize("content, message", [
-        ("[", ": invalid JSON at line 1 column 2: Expecting value"),
-        ({"level": "L1"}, " must hold a JSON list"),
-        ([{"matrix": np.eye(4).tolist()}], f": entry 0 {BAD_ENTRY}"),
-        ([{"level": "L1", "matrix": np.eye(4).tolist()}, {"level": "L2"}],
-         f": entry 1 {BAD_ENTRY}"),
-        ([{"level": "L1", "matrix": np.eye(3).tolist()}], f": entry 0 {BAD_ENTRY}"),
-        ([{"level": "L1", "matrix": [[1, 0, 0, 0]] * 3 + [[0, 0, 1]]}], f": entry 0 {BAD_ENTRY}"),
-        ([{"level": "L1", "matrix": [["a"] * 4] * 4}], f": entry 0 {BAD_ENTRY}"),
-        (["L1"], f": entry 0 {BAD_ENTRY}"),
-    ])
-    def test_malformed_transforms_file_names_it(self, tmp_path, content, message):
-        from spinerecon.spine import load_transforms
-        path = tmp_path / "transforms.json"
-        path.write_text(content if isinstance(content, str) else json.dumps(content))
-        with pytest.raises(ValueError) as exc:
-            load_transforms(str(path))
-        assert str(exc.value) == f"transforms file {path}{message}"
+        with open(os.path.join(recon_dir, "transforms.json")) as fh:
+            entries = json.load(fh)
+        assert [e["level"] for e in entries] == [f"L{i}" for i in range(1, 6)]
+        for entry in entries:
+            np.testing.assert_allclose(entry["matrix"], np.eye(4), atol=1e-9)
 
     def test_evaluate_identity_near_zero(self, recon_dir, synth_dir, tmp_path, capsys):
         out = str(tmp_path / "eval")

@@ -1,10 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
 from helpers import random_rigid, sheet_mesh
 from spinerecon.anatomy import LandmarkSet
 from spinerecon.evaluation import (
-    MorphometricRecord,
     evaluate_reconstruction,
     fsu_angle,
     ivd_height,
@@ -122,6 +123,15 @@ class TestIvdHeight:
         upper = shifted(HAND, (0, 0, 35))
         assert ivd_height(upper, HAND, [0, 0, -1]) == pytest.approx(-5.0)
 
+    def test_interpenetrating_levels_measure_negative_not_raise(self, caplog):
+        # a misregistered pair: the upper inferior plate 5 mm below the lower superior one
+        upper = shifted(HAND, (0, 0, 25))
+        with caplog.at_level(logging.WARNING, logger="spinerecon.evaluation"):
+            record = measure_morphometrics(["L1", "L2"], [upper, HAND])
+        assert record.ivd_height["L1-L2"] == pytest.approx(-5.0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "non-positive disc height -5.000 mm (interpenetrating plates?)"]
+
 
 class TestFsuAngle:
     def test_parallel_plates_zero(self):
@@ -193,7 +203,7 @@ class TestRigidInvariance:
             for lvl in spine.levels:
                 assert moved.vb_width[lvl] == pytest.approx(base.vb_width[lvl], abs=1e-6)
                 assert moved.vb_height[lvl] == pytest.approx(base.vb_height[lvl], abs=1e-6)
-            for pair in base.pair_names():
+            for pair in base.ivd_height:
                 assert moved.ivd_height[pair] == pytest.approx(base.ivd_height[pair], abs=1e-6)
                 assert moved.fsu_angle[pair] == pytest.approx(base.fsu_angle[pair], abs=0.01)
 
@@ -280,8 +290,3 @@ class TestEvaluateReconstruction:
         assert payload["mode"] == "ours"
         assert payload["time_s"] == 0.5
 
-
-def test_morphometric_record_round_trip():
-    record = generate_spine(SpineParams())[1]
-    again = MorphometricRecord.from_dict(record.to_dict())
-    assert again == record

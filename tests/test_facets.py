@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from helpers import sheet_mesh
+from helpers import expected_facet_gap, sheet_mesh
 from spinerecon.facets import (
     GapReport,
     align_facets,
@@ -22,7 +22,6 @@ from spinerecon.synthetic import (
     FACET_DROP_MM,
     SpineParams,
     default_vertebra_params,
-    expected_facet_gap,
     generate_spine,
 )
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import spinerecon.mesh as mesh_module
 from helpers import (
     box_mesh,
+    closest_point_brute_force,
     mixed_meshes,
     oracle_closest_point,
     points_on_edges,
@@ -20,14 +21,14 @@ from spinerecon.mesh import (
     _nearest_on_triangles,
     apply_transform,
     center_of_mass,
-    closest_point_brute_force,
     closest_points_on_triangles,
-    connected_components,
     face_normals,
     median_edge_length,
+    pair_component_labels,
     principal_axes,
     submesh_by_label,
     transform_mesh,
+    triangle_adjacency,
 )
 from spinerecon.synthetic import default_vertebra_params, generate_vertebra
 
@@ -97,25 +98,29 @@ class TestFaceNormals:
         np.testing.assert_array_equal(face_normals(m), [[0, 0, 0]])
 
 
+def component_sizes(mesh: TriangleMesh) -> list[int]:
+    """Triangle counts of the edge-connected components, in label order."""
+    count, labels = pair_component_labels(mesh.n_triangles, *triangle_adjacency(mesh))
+    return np.bincount(labels, minlength=count).tolist()
+
+
 class TestConnectedComponents:
     def test_two_disjoint_triangles(self):
         m = TriangleMesh(
             [[0, 0, 0], [1, 0, 0], [0, 1, 0], [10, 0, 0], [11, 0, 0], [10, 1, 0]],
             [[0, 1, 2], [3, 4, 5]],
         )
-        comps = connected_components(m)
-        assert [c.n_triangles for c in comps] == [1, 1]
+        assert component_sizes(m) == [1, 1]
 
     def test_tetrahedron_single_component(self):
         v, t = tetrahedron()
-        assert len(connected_components(TriangleMesh(v, t))) == 1
+        assert component_sizes(TriangleMesh(v, t)) == [4]
 
     def test_tet_plus_far_triangle_sizes(self):
         v, t = tetrahedron()
         verts = np.vstack([v, [[50, 0, 0], [51, 0, 0], [50, 1, 0]]])
         tris = np.vstack([t, [[4, 5, 6]]])
-        comps = connected_components(TriangleMesh(verts, tris))
-        assert [c.n_triangles for c in comps] == [4, 1]
+        assert component_sizes(TriangleMesh(verts, tris)) == [4, 1]
 
     def test_vertex_pinch_does_not_connect(self):
         # two triangles sharing exactly one vertex stay separate components
@@ -123,16 +128,14 @@ class TestConnectedComponents:
             [[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]],
             [[0, 1, 2], [0, 3, 4]],
         )
-        assert len(connected_components(m)) == 2
+        assert component_sizes(m) == [1, 1]
 
     def test_partition_covers_input(self):
-        rng = np.random.default_rng(0)
-        from spinerecon.synthetic import default_vertebra_params, generate_vertebra
         mesh, _, _ = generate_vertebra(default_vertebra_params("L1", tessellation_edge=5.0))
-        comps = connected_components(mesh)
-        assert sum(c.n_triangles for c in comps) == mesh.n_triangles
-        assert all(comps[i].n_triangles >= comps[i + 1].n_triangles
-                   for i in range(len(comps) - 1))
+        sizes = component_sizes(mesh)
+        assert sum(sizes) == mesh.n_triangles
+        # the body, four facet patches, two pedicle bars and the spinous bar
+        assert len(sizes) == 8 and sizes[0] == max(sizes)
 
 
 class TestCenterOfMass:

@@ -205,6 +205,61 @@ class TestPly:
         np.testing.assert_array_equal(mesh.labels, [1, 2, 3])
         np.testing.assert_allclose(mesh.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
+    ASCII_HEADER = ("ply\nformat ascii 1.0\nelement vertex 3\n"
+                    "property float x\nproperty float y\nproperty float z\n"
+                    "element face 1\nproperty list uchar int vertex_indices\n")
+
+    def test_header_ends_at_the_end_header_line_not_a_comment(self, tmp_path):
+        path = tmp_path / "commented.ply"
+        path.write_text(self.ASCII_HEADER.replace(
+            "element face", "comment written by end_header-tool\nelement face")
+            + "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+        mesh = load_mesh(str(path))
+        np.testing.assert_array_equal(mesh.triangles, [[0, 1, 2]])
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_file_cut_right_after_end_header_is_truncated(self, tmp_path, binary):
+        header = (binary_ply([(0, 1, 2)]).split(b"end_header")[0] if binary
+                  else self.ASCII_HEADER.encode())
+        data = header + b"end_header"
+        path = tmp_path / "cut.ply"
+        path.write_bytes(data)
+        with pytest.raises(MeshParseError) as exc:
+            load_mesh(str(path))
+        assert str(exc.value) == f"{path}: data truncated after end_header at byte {len(data)}"
+
+    @pytest.mark.parametrize("regions, line, value", [
+        (("1.5", "2.9", "1e300"), 11, "1.5"),
+        (("1", "2", "1e300"), 13, "1e300"),
+        (("1", "nan", "3"), 12, "nan"),
+    ])
+    def test_non_integer_ascii_region_names_the_line(self, tmp_path, regions, line, value):
+        path = tmp_path / "float_region.ply"
+        rows = "".join(f"{x} {y} 0 {r}\n" for (x, y), r in zip([(0, 0), (1, 0), (0, 1)], regions))
+        path.write_text(self.ASCII_HEADER.replace("element face", "property float region\n"
+                                                  "element face")
+                        + "end_header\n" + rows + "3 0 1 2\n")
+        with pytest.raises(MeshParseError) as exc:
+            load_mesh(str(path))
+        assert str(exc.value) == f"{path}:{line}: region value {value!r} is not a 64-bit integer"
+
+    @pytest.mark.parametrize("bad", [1.5, 1e30, np.inf, np.nan])
+    def test_non_integer_binary_region_names_the_vertex(self, tmp_path, bad):
+        header = (
+            "ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "property float region\n"
+            "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+        ).encode()
+        body = b"".join(struct.pack("<3df", x, y, 0.0, r)
+                        for x, y, r in [(0, 0, 1), (1, 0, 2), (0, 1, bad)])
+        path = tmp_path / "float_region.ply"
+        path.write_bytes(header + body + struct.pack("<B3i", 3, 0, 1, 2))
+        with pytest.raises(MeshParseError) as exc:
+            load_mesh(str(path))
+        value = float(np.float32(bad))
+        assert str(exc.value) == f"{path}: vertex 2: region value {value!r} is not a 64-bit integer"
+
 
 class TestObj:
     def test_round_trip(self, tmp_path, labeled_mesh):
