@@ -384,25 +384,48 @@ def _check_reach(pts: np.ndarray, tri: np.ndarray, reach: float) -> None:
                          f"more than {reach:.3g} mm from the mesh along an axis")
 
 
+# Query-triangle pairs per kernel call in _nearest_per_query, and per box
+# test in SurfaceIndex._candidates. The kernel costs 272-282 ns per pair at
+# 4k-16k pairs but 401-451 ns at 32k-128k, once its pair-length temporaries
+# outgrow the cache; the first chunks of an ICP run, far off the surface,
+# carry 20k-63k kernel pairs and up to ~140k box tests.
+_KERNEL_PAIRS = 16_384
+
+
 def _nearest_per_query(tri: np.ndarray, pts: np.ndarray, qi: np.ndarray, ti: np.ndarray):
     """Exact closest points over candidate pairs (query qi[k], triangle ti[k]).
 
     qi must be grouped by query in ascending order, with at least one pair
     per query and no pair repeated. Each query takes the least distance,
     ties to the smallest triangle index, exactly as a brute-force scan.
+    The kernel runs on blocks of whole queries holding at most
+    _KERNEL_PAIRS pairs; a query with more pairs forms its own block.
     Returns (closest_points, distances), one row per query.
     """
-    p = pts.take(qi, axis=0)
-    cand = closest_points_on_triangles(tri.take(ti, axis=0), p)
-    d = np.linalg.norm(cand - p, axis=1)
     new_query = np.empty(len(qi), dtype=bool)
     new_query[:1] = True
     np.not_equal(qi[1:], qi[:-1], out=new_query[1:])
-    starts = np.flatnonzero(new_query)
-    nearest = d == np.minimum.reduceat(d, starts)[qi]
-    first = np.minimum.reduceat(np.where(nearest, ti, len(tri)), starts)
-    best = np.flatnonzero(nearest & (ti == first[qi]))
-    return cand[best], d[best]
+    bounds = np.append(np.flatnonzero(new_query), len(qi))  # pairs of query k: bounds[k:k + 2]
+    count = len(bounds) - 1
+    out_p = np.empty((count, 3))
+    out_d = np.empty(count)
+    k0 = 0
+    while k0 < count:
+        k1 = max(k0 + 1, int(np.searchsorted(bounds, bounds[k0] + _KERNEL_PAIRS, "right")) - 1)
+        lo, hi = bounds[k0], bounds[k1]
+        q = qi[lo:hi] - k0
+        t = ti[lo:hi]
+        starts = bounds[k0:k1] - lo
+        p = pts.take(qi[lo:hi], axis=0)
+        cand = closest_points_on_triangles(tri.take(t, axis=0), p)
+        d = np.linalg.norm(cand - p, axis=1)
+        nearest = d == np.minimum.reduceat(d, starts)[q]
+        first = np.minimum.reduceat(np.where(nearest, t, len(tri)), starts)
+        best = np.flatnonzero(nearest & (t == first[q]))
+        out_p[k0:k1] = cand[best]
+        out_d[k0:k1] = d[best]
+        k0 = k1
+    return out_p, out_d
 
 
 # Query-triangle pairs that _nearest_on_triangles holds at once. A pair
@@ -458,12 +481,21 @@ class SurfaceIndex:
     step drops the nearest triangle or one tied with it (eps absorbs
     round-off). The exact kernel runs on the kept pairs; each query takes
     the least distance, ties to the smallest triangle index, exactly as
-    a brute-force scan. Read-only queries are safe from multiple threads.
+    a brute-force scan.
+
+    An index is never changed after it is built, so queries are safe from
+    several threads at once; `registration.register_spine` relies on it,
+    building one index per level on its thread pool. Box tests and the
+    kernel run on blocks of at most _KERNEL_PAIRS (16,384) pairs: the
+    kernel costs 272-282 ns per pair at 4k-16k pairs but 401-451 ns at
+    32k-128k, and the blocks keep a far-off 2,048-point chunk within about
+    7 MB of working arrays, so that two concurrent queries stay small.
     """
 
-    # Queries per chunk. On a 20.8k-triangle level, 10.4k on-surface points
-    # peak at 9 MB of working arrays in chunks of 2,048 and at 21 MB in
-    # chunks of 8,192, in the same time.
+    # Queries per chunk. Chunks of 512-4,096 points time within 6% of each
+    # other on ICP queries. On a 20.8k-triangle level, 10.4k on-surface
+    # points peak at 6.5 MB of working arrays in chunks of 2,048 and at
+    # 8.1 MB in chunks of 8,192.
     _CHUNK = 2048
 
     def __init__(self, mesh: TriangleMesh):
@@ -517,11 +549,13 @@ class SurfaceIndex:
     def _candidates(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """Pairs (query, triangle) whose box lies within the query's upper bound, grouped by query.
 
-        The search's own arrays are freed on return, before the kernel
-        allocates its pairs.
+        The radius search's lists are freed once flattened, and boxes are
+        tested in blocks of _KERNEL_PAIRS pairs, so no (pairs, 3) array is
+        held for all of a chunk's candidates at once.
         """
         upper = self._upper_bound(pts)
         eps = 1e-9 * (1.0 + upper)
+        limit = (upper + eps) ** 2
         pair_q: list[np.ndarray] = []
         pair_t: list[np.ndarray] = []
         for stratum in self._strata:
@@ -530,13 +564,20 @@ class SurfaceIndex:
             counts = np.fromiter(map(len, near), dtype=np.int64, count=len(pts))
             local = np.fromiter(itertools.chain.from_iterable(near),
                                 dtype=np.int64, count=int(counts.sum()))
+            del near
             qi = np.repeat(np.arange(len(pts)), counts)
-            p = pts.take(qi, axis=0)  # take gathers rows faster than pts[qi]
-            # per-axis gap from the point to the triangle's box, 0 inside it
-            gap = np.maximum(stratum["lo"].take(local, axis=0) - p,
-                             p - stratum["hi"].take(local, axis=0))
-            np.maximum(gap, 0.0, out=gap)
-            keep = _pair_dot(gap, gap) <= ((upper + eps) ** 2).take(qi)
+            keep = np.empty(len(qi), dtype=bool)
+            for start in range(0, len(qi), _KERNEL_PAIRS):
+                block = slice(start, start + _KERNEL_PAIRS)
+                p = pts.take(qi[block], axis=0)  # take gathers rows faster than pts[qi]
+                # per-axis gap from the point to the triangle's box, 0 inside it
+                gap = stratum["lo"].take(local[block], axis=0)
+                gap -= p
+                beyond = stratum["hi"].take(local[block], axis=0)
+                np.subtract(p, beyond, out=beyond)
+                np.maximum(gap, beyond, out=gap)
+                np.maximum(gap, 0.0, out=gap)
+                keep[block] = _pair_dot(gap, gap) <= limit.take(qi[block])
             pair_q.append(qi[keep])
             pair_t.append(stratum["ids"].take(local[keep]))
         qi = np.concatenate(pair_q)
@@ -547,4 +588,3 @@ class SurfaceIndex:
             qi = qi[order]
             ti = ti[order]
         return qi, ti
-

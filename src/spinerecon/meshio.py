@@ -398,6 +398,13 @@ def _non_triangle(path, i, n, byte) -> MeshParseError:
 
 def _save_ply(mesh: TriangleMesh, path: str, binary: bool) -> None:
     has_labels = mesh.labels is not None
+    if has_labels:
+        # "property int region" is 32-bit, and PLY has no 64-bit integer type
+        wide = (mesh.labels < -2**31) | (mesh.labels > 2**31 - 1)
+        if wide.any():
+            bad = int(np.argmax(wide))
+            raise ValueError(f"vertex {bad}: label {int(mesh.labels[bad])} does not fit "
+                             f"the PLY int region property [-2**31, 2**31 - 1]")
     header = ["ply"]
     header.append("format binary_little_endian 1.0" if binary else "format ascii 1.0")
     header.append(f"element vertex {mesh.n_vertices}")

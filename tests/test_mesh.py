@@ -450,6 +450,81 @@ def test_surface_query_chunk_seams_match_brute_force_bit_for_bit(case):
         np.testing.assert_array_equal(_bits(d), _bits(d_one[:count]))
 
 
+def uv_sphere(radius, n_lat, n_lon) -> TriangleMesh:
+    """Latitude-longitude sphere about the origin, two poles and n_lat - 1 rings."""
+    theta = np.pi * np.arange(1, n_lat) / n_lat
+    phi = 2.0 * np.pi * np.arange(n_lon) / n_lon
+    rings = np.stack([np.outer(np.sin(theta), np.cos(phi)),
+                      np.outer(np.sin(theta), np.sin(phi)),
+                      np.repeat(np.cos(theta)[:, None], n_lon, axis=1)], axis=-1)
+    verts = radius * np.vstack([[0.0, 0.0, 1.0], rings.reshape(-1, 3), [0.0, 0.0, -1.0]])
+    j = np.arange(n_lon)
+    k = (j + 1) % n_lon
+    south = len(verts) - 1
+    tris = [np.c_[np.zeros(n_lon, dtype=int), 1 + j, 1 + k]]
+    for ring in range(n_lat - 2):
+        a, b = 1 + ring * n_lon, 1 + (ring + 1) * n_lon
+        tris += [np.c_[a + j, b + j, b + k], np.c_[a + j, b + k, a + k]]
+    last = 1 + (n_lat - 2) * n_lon
+    tris.append(np.c_[last + j, np.full(n_lon, south), last + k])
+    return TriangleMesh(verts, np.vstack(tris))
+
+
+def assert_kernel_blocks_match(mesh, queries, blocks):
+    """SurfaceIndex.query at each kernel block size against one unblocked call and brute force.
+
+    Returns the candidate pair count of each query.
+    """
+    p_ref, d_ref = closest_point_brute_force(mesh, queries)
+    index = SurfaceIndex(mesh)
+    pairs = np.bincount(index._candidates(queries)[0], minlength=len(queries))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_KERNEL_PAIRS", int(pairs.sum()))
+        p_one, d_one = index.query(queries)
+    np.testing.assert_array_equal(_bits(p_one), _bits(p_ref))
+    np.testing.assert_array_equal(_bits(d_one), _bits(d_ref))
+    for block in blocks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mesh_module, "_KERNEL_PAIRS", block)
+            p, d = index.query(queries)
+        np.testing.assert_array_equal(_bits(p), _bits(p_one))
+        np.testing.assert_array_equal(_bits(d), _bits(d_one))
+    return pairs
+
+
+@settings(max_examples=20, deadline=None)
+@given(mixed_meshes())
+def test_kernel_blocks_match_brute_force_bit_for_bit(case):
+    # points on and off the surface and one far off it, whose candidate
+    # pairs outnumber a block of 1 whenever two triangles tie for it
+    mesh, rng = case
+    queries = np.vstack([
+        mesh.vertices,
+        points_on_edges(mesh.vertices, mesh.triangles, rng, 20),
+        rng.uniform(-12.0, 12.0, (20, 3)),
+        [[300.0, -400.0, 500.0]],
+    ])
+    assert_kernel_blocks_match(mesh, queries, (1, 7, mesh_module._KERNEL_PAIRS))
+
+
+def test_kernel_blocks_split_at_queries_past_the_default_block():
+    # from the center of a fine sphere every triangle's box is a candidate,
+    # so that query forms its own block, larger than the default, between
+    # a block of the queries before it and one of those after it
+    mesh = uv_sphere(10.0, 60, 150)
+    rng = np.random.default_rng(8)
+    queries = np.vstack([
+        mesh.vertices[::997],
+        points_on_edges(mesh.vertices, mesh.triangles, rng, 6),
+        [[0.0, 0.0, 0.0], [0.3, -0.2, 0.1]],
+        rng.uniform(-14.0, 14.0, (6, 3)),
+        [[60.0, 0.0, 0.0]],
+    ])
+    pairs = assert_kernel_blocks_match(mesh, queries, (7, mesh_module._KERNEL_PAIRS))
+    center = len(mesh.vertices[::997]) + 6
+    assert pairs[center] == mesh.n_triangles > mesh_module._KERNEL_PAIRS
+
+
 def assert_direct_search_matches(mesh, queries):
     """_nearest_on_triangles against SurfaceIndex and brute force, bit patterns."""
     p_dir, d_dir = _nearest_on_triangles(mesh.triangle_points(), queries)

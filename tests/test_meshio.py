@@ -604,3 +604,21 @@ def test_repeated_corner_names_the_facet(tmp_path, fmt):
             f"{path}: triangle 1 repeats a vertex index: [1, 3, 1]")):
         load_mesh(path)
 
+
+
+@pytest.mark.parametrize("binary", [True, False])
+@pytest.mark.parametrize("label, fits", [
+    (-2**31 - 1, False), (-2**31, True), (2**31 - 1, True), (2**31, False)])
+def test_ply_labels_must_fit_the_int_region_property(tmp_path, binary, label, fits):
+    # the header declares "property int region" in both encodings, and PLY
+    # has no 64-bit integer type
+    triangle = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    path = tmp_path / "m.ply"
+    if fits:
+        save_mesh(TriangleMesh(triangle, [[0, 1, 2]], [1, label, 2]), str(path), binary=binary)
+        np.testing.assert_array_equal(load_mesh(str(path)).labels, [1, label, 2])
+    else:
+        mesh = TriangleMesh(triangle, [[0, 1, 2]], [1, label, 2**40 + 3])
+        with pytest.raises(ValueError, match=rf"^vertex 1: label {label} does not fit "):
+            save_mesh(mesh, str(path), binary=binary)
+        assert not path.exists()
