@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -157,6 +158,8 @@ def _load_level_landmarks(path: str, level: str) -> LandmarkSet:
 
 
 def cmd_evaluate(args) -> int:
+    if args.elapsed_s is not None and not (math.isfinite(args.elapsed_s) and args.elapsed_s >= 0):
+        raise ValueError(f"--elapsed-s must be a finite number >= 0, got {args.elapsed_s}")
     config = build_config(args.config, args.set)
     registered = _load_spine_dir(args.registered)
     ground_truth = _load_spine_dir(args.ground_truth)

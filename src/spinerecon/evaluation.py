@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .anatomy import LandmarkSet, VertebraFrame, compute_frame
 from .mesh import LABEL_VERTEBRAL_BODY, SurfaceIndex, TriangleMesh
-from .spine import SpineModel, pair_name, write_json
+from .spine import SpineModel, map_levels, pair_name, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -197,7 +198,10 @@ def evaluate_reconstruction(registered: SpineModel, ground_truth: SpineModel,
     Point-to-model distance is reported twice per level, over the whole
     vertebra and restricted to vertebral-body-labeled source vertices
     (the whole vertebra when no vertex carries the body label); both
-    means come from one surface query of the registered vertices.
+    means come from one surface query of the registered vertices. The
+    levels are measured with `spine.map_levels`, on one thread per usable
+    CPU at most; a failing level raises "<level>: evaluation failed: ...",
+    the first failing level in level order when several fail.
     When ground-truth landmark sets are given (ordered like the
     levels), landmark MAE and morphometric MAEs are filled in from the
     registered spine's mapped landmarks; otherwise those fields stay
@@ -207,19 +211,25 @@ def evaluate_reconstruction(registered: SpineModel, ground_truth: SpineModel,
         raise ValueError(
             f"level mismatch: registered {registered.levels} vs ground truth {ground_truth.levels}"
         )
-    p2m_vb: dict[str, float] = {}
-    p2m_full: dict[str, float] = {}
-    for reg_v, gt_v in zip(registered.vertebrae, ground_truth.vertebrae):
-        if reg_v.mesh.n_vertices == 0:
-            raise ValueError("no source vertices to measure")
-        # a point's nearest-surface result does not depend on the rest of
-        # its batch, so one query serves both means bit for bit
-        _, dist = SurfaceIndex(gt_v.mesh).query(reg_v.mesh.vertices)
+
+    def level_distances(i: int) -> tuple[float, float]:
+        reg_v, gt_v = registered[i], ground_truth[i]
+        try:
+            if reg_v.mesh.n_vertices == 0:
+                raise ValueError("no source vertices to measure")
+            # a point's nearest-surface result does not depend on the rest
+            # of its batch, so one query serves both means bit for bit
+            _, dist = SurfaceIndex(gt_v.mesh).query(reg_v.mesh.vertices)
+        except Exception as e:
+            raise RuntimeError(f"{reg_v.level}: evaluation failed: {e}") from e
         labels = reg_v.mesh.labels
         mask = None if labels is None else labels == LABEL_VERTEBRAL_BODY
         body = dist[mask] if mask is not None and mask.any() else dist
-        p2m_full[reg_v.level] = float(dist.mean())
-        p2m_vb[reg_v.level] = float(body.mean())
+        return float(dist.mean()), float(body.mean())
+
+    means = map_levels(level_distances, len(registered))
+    p2m_full = {level: full for level, (full, _) in zip(registered.levels, means)}
+    p2m_vb = {level: body for level, (_, body) in zip(registered.levels, means)}
 
     lmk_mae = None
     width_mae = depth_mae = height_mae = ivd_mae = fsu_mae = None
@@ -270,25 +280,33 @@ def write_report_json(report: RegistrationReport, path: str, extras: dict | None
 
 
 def write_report_csv(reports, path: str) -> None:
-    """One row per mode and level plus a mean row per mode."""
-    def fmt(x):
-        return "" if x is None else f"{x:.6g}"
+    """One row per mode and level plus a mean row per mode.
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for report in reports:
-            for level in report.levels:
-                lmk = (report.landmark_mae_per_level or {}).get(level)
-                writer.writerow([
-                    report.mode, level,
-                    fmt(report.p2m_vb[level]), fmt(report.p2m_full[level]),
-                    fmt(lmk), "", "", "", "", "", "",
-                ])
-            writer.writerow([
-                report.mode, "mean",
-                fmt(report.p2m_vb_mean), fmt(report.p2m_full_mean),
-                fmt(report.landmark_mae_mean),
-                fmt(report.width_mae), fmt(report.depth_mae), fmt(report.height_mae),
-                fmt(report.ivd_mae), fmt(report.fsu_mae), fmt(report.elapsed_s),
+    A NaN or infinite value raises ValueError naming the file, and the
+    file is not written.
+    """
+    def fmt(x):
+        if x is None:
+            return ""
+        if not math.isfinite(x):
+            raise ValueError(f"{path}: {x} is not a finite number")
+        return f"{x:.6g}"
+
+    rows = [CSV_COLUMNS]
+    for report in reports:
+        for level in report.levels:
+            lmk = (report.landmark_mae_per_level or {}).get(level)
+            rows.append([
+                report.mode, level,
+                fmt(report.p2m_vb[level]), fmt(report.p2m_full[level]),
+                fmt(lmk), "", "", "", "", "", "",
             ])
+        rows.append([
+            report.mode, "mean",
+            fmt(report.p2m_vb_mean), fmt(report.p2m_full_mean),
+            fmt(report.landmark_mae_mean),
+            fmt(report.width_mae), fmt(report.depth_mae), fmt(report.height_mae),
+            fmt(report.ivd_mae), fmt(report.fsu_mae), fmt(report.elapsed_s),
+        ])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)

@@ -484,8 +484,9 @@ class SurfaceIndex:
     a brute-force scan.
 
     An index is never changed after it is built, so queries are safe from
-    several threads at once; `registration.register_spine` relies on it,
-    building one index per level on its thread pool. Box tests and the
+    several threads at once; `registration.register_spine` and
+    `evaluation.evaluate_reconstruction` rely on it, building one index
+    per level on the level pool (`spine.map_levels`). Box tests and the
     kernel run on blocks of at most _KERNEL_PAIRS (16,384) pairs: the
     kernel costs 272-282 ns per pair at 4k-16k pairs but 401-451 ns at
     32k-128k, and the blocks keep a far-off 2,048-point chunk within about

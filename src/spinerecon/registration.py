@@ -11,9 +11,7 @@ the composition target_matrix @ inverse(source_matrix).
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +35,7 @@ from .mesh import (
     transform_mesh,
     validate_transform,
 )
-from .spine import SpineModel, Vertebra
+from .spine import SpineModel, Vertebra, map_levels
 
 MODES = ("ours", "ours_icp", "icp", "icp_vb")
 
@@ -210,14 +208,6 @@ def _sample_rows(points: np.ndarray, count: int, rng: np.random.Generator) -> np
     return points[idx]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # macOS has no sched_getaffinity
-        return os.cpu_count() or 1
-
-
 def register_spine(atlas: SpineModel, targets: SpineModel, mode: str = "ours", *,
                    orientation_hint: AxesEstimate = PATIENT_AXES,
                    cos_threshold: float = 0.8,
@@ -234,12 +224,11 @@ def register_spine(atlas: SpineModel, targets: SpineModel, mode: str = "ours", *
       icp_vb    rigid ICP of the atlas body submesh, applied to the
                 full atlas mesh
 
-    The ICP modes register the levels on a thread pool of one worker per
-    usable CPU (restrict it with CPU affinity, e.g. `taskset -c 0`),
-    capped at the level count. Every level's ICP sample is drawn first,
-    in level order, so the result does not depend on the worker count;
-    when several levels fail, the first in level order is reported.
-    `ours` runs serially. The elapsed time is wall time; it covers
+    The ICP modes register the levels with `spine.map_levels`, on one
+    thread per usable CPU at most. Every level's ICP sample is drawn
+    first, in level order, so the result does not depend on the worker
+    count; when several levels fail, the first in level order is
+    reported. `ours` runs serially. The elapsed time is wall time; it covers
     landmark detection, transform computation, and mesh application; no
     file I/O happens here.
     """
@@ -286,13 +275,10 @@ def register_spine(atlas: SpineModel, targets: SpineModel, mode: str = "ours", *
         )
         return registered, total
 
-    levels = range(len(atlas.vertebrae))
     if mode == "ours":  # about 1 ms per level: a pool would cost more than it saves
-        results = list(map(register_level, levels))
+        results = list(map(register_level, range(len(atlas))))
     else:
-        # map yields in level order, so the first failing level's error is raised
-        with ThreadPoolExecutor(min(len(levels), _usable_cpus())) as pool:
-            results = list(pool.map(register_level, levels))
+        results = map_levels(register_level, len(atlas))
     elapsed = time.perf_counter() - t0
     registered, transforms = zip(*results)
     return RegistrationRun(SpineModel(registered), transforms, elapsed)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,6 +73,57 @@ class SpineModel:
         return list(zip(self.vertebrae[:-1], self.vertebrae[1:]))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS has no sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def map_levels(fn, count: int) -> list:
+    """[fn(0), ..., fn(count - 1)], on one thread per usable CPU at most.
+
+    The calling thread is one of the workers, so min(count, usable CPUs)
+    - 1 threads are started; with one usable CPU (restrict it with CPU
+    affinity, e.g. `taskset -c 0`) or one index it is a plain loop.
+    Threads take the next index from one shared counter, so indices
+    start in increasing order. After a failure no index is handed out;
+    once every thread has stopped, the error of the lowest failing index
+    is raised, which is the error a serial loop raises. `fn` must be
+    safe to call from several threads at once.
+    """
+    workers = min(count, _usable_cpus())
+    if workers <= 1:
+        return [fn(i) for i in range(count)]
+    results = [None] * count
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    next_index = 0
+
+    def work() -> None:
+        nonlocal next_index
+        while True:
+            with lock:
+                if errors or next_index == count:
+                    return
+                i = next_index
+                next_index += 1
+            try:
+                results[i] = fn(i)
+            except BaseException as e:
+                with lock:
+                    errors[i] = e
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        for _ in range(workers - 1):
+            pool.submit(work)
+        work()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def pair_name(upper_level: str, lower_level: str) -> str:
     return f"{upper_level}-{lower_level}"
 
@@ -88,10 +142,17 @@ def level_from_filename(name: str) -> str:
 # JSON files
 
 def write_json(path: str, payload) -> None:
-    """Write payload as JSON indented by two spaces, ending in a newline."""
+    """Write payload as JSON indented by two spaces, ending in a newline.
+
+    NaN and infinity are not JSON: a payload holding one raises
+    ValueError naming the file, and the file is not written.
+    """
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _read_json(path: str, role: str):

@@ -9,12 +9,33 @@ can be compared with it bit for bit.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+import spinerecon.spine as spine_module
 from spinerecon.mesh import TriangleMesh, _as_points, closest_points_on_triangles
 from spinerecon.synthetic import FACET_DROP_MM, SpineParams
+
+
+def bits(a) -> np.ndarray:
+    """The float64 values of a as raw 64-bit patterns, for bit-for-bit comparison."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def count_executors(monkeypatch) -> list[int]:
+    """Sizes of the executors `spine.map_levels` builds, appended as they are built."""
+    workers = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(spine_module, "ThreadPoolExecutor", Counted)
+    return workers
 
 
 def random_rigid(rng, max_angle_deg=180.0, max_translation=100.0) -> np.ndarray:

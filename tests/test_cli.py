@@ -12,6 +12,7 @@ import pytest
 import spinerecon
 from spinerecon.cli import main
 from spinerecon.config import build_config
+from spinerecon.mesh import TriangleMesh
 from spinerecon.meshio import load_mesh, save_mesh
 from spinerecon.registration import detect_spine_landmarks
 from spinerecon.spine import SpineModel, Vertebra, level_from_filename, load_landmarks
@@ -458,6 +459,39 @@ def test_evaluate_rejects_landmark_file_of_another_level(swapped_in, synth_dir, 
     assert main(["evaluate", "--registered", dirs["registered"], "--ground-truth", synth_dir,
                  "--gt-landmarks", dirs["gt_landmarks"], "--out", str(out)]) == 1
     assert f"landmark file {l2} holds level 'L3', expected 'L2'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_evaluate_rejects_elapsed_s_that_is_not_a_time(value, synth_dir, recon_dir, tmp_path,
+                                                        capsys):
+    out = tmp_path / "out"
+    assert main(["evaluate", "--registered", recon_dir, "--ground-truth", synth_dir,
+                 "--out", str(out), "--elapsed-s", value]) == 1
+    assert "error: --elapsed-s must be a finite number >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_records_zero_elapsed_s(synth_dir, recon_dir, tmp_path):
+    out = tmp_path / "out"
+    assert main(["evaluate", "--registered", recon_dir, "--ground-truth", synth_dir,
+                 "--out", str(out), "--elapsed-s", "0"]) == 0
+    assert json.loads((out / "report.json").read_text())["time_s"] == 0.0
+    assert (out / "report.csv").read_text().splitlines()[-1].endswith(",0")
+
+
+def test_evaluate_names_a_ground_truth_level_without_triangles(synth_dir, recon_dir, tmp_path,
+                                                               capsys):
+    ground_truth = tmp_path / "ground_truth"
+    shutil.copytree(synth_dir, ground_truth)
+    l3 = str(ground_truth / "vertebra_L3.ply")
+    mesh = load_mesh(l3)
+    save_mesh(TriangleMesh(mesh.vertices, np.zeros((0, 3), dtype=np.int64), mesh.labels), l3)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--registered", recon_dir, "--ground-truth", str(ground_truth),
+                 "--out", str(out)]) == 1
+    assert ("error: L3: evaluation failed: cannot index a mesh with no triangles"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

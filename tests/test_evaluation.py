@@ -1,9 +1,15 @@
+import json
 import logging
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from helpers import random_rigid, sheet_mesh
+import spinerecon.evaluation as evaluation
+import spinerecon.spine as spine_module
+from helpers import bits, count_executors, random_rigid, sheet_mesh
 from spinerecon.anatomy import LandmarkSet
 from spinerecon.evaluation import (
     evaluate_reconstruction,
@@ -23,7 +29,7 @@ from spinerecon.mesh import (
     transform_mesh,
 )
 from spinerecon.registration import compute_frame
-from spinerecon.spine import SpineModel
+from spinerecon.spine import SpineModel, map_levels
 from spinerecon.synthetic import (
     SpineParams,
     default_vertebra_params,
@@ -213,6 +219,14 @@ def spine():
     return generate_spine(SpineParams())[0]
 
 
+def moved_spine(spine):
+    """Every level moved by its own small rigid transform."""
+    rng = np.random.default_rng(5)
+    return SpineModel(tuple(
+        v.with_(mesh=transform_mesh(v.mesh, random_rigid(rng, 4.0, 1.5)))
+        for v in spine.vertebrae))
+
+
 class TestEvaluateReconstruction:
 
     def test_identity_all_zero(self, spine):
@@ -245,10 +259,7 @@ class TestEvaluateReconstruction:
         assert report.p2m_full["L3"] == pytest.approx(1.1488, abs=2e-3)  # regression pin
 
     def test_p2m_matches_point_to_model_distance_bitwise(self, spine):
-        rng = np.random.default_rng(5)
-        moved = SpineModel(tuple(
-            v.with_(mesh=transform_mesh(v.mesh, random_rigid(rng, 4.0, 1.5)))
-            for v in spine.vertebrae))
+        moved = moved_spine(spine)
         unlabeled = SpineModel(tuple(
             v.with_(mesh=TriangleMesh(v.mesh.vertices, v.mesh.triangles))
             for v in moved.vertebrae))
@@ -285,8 +296,132 @@ class TestEvaluateReconstruction:
         assert lines[0].startswith("mode,level,p2m_vb_mm")
         assert len(lines) == 1 + 5 + 1  # header + levels + mean row
         assert lines[-1].split(",")[1] == "mean"
-        import json
         payload = json.loads((tmp_path / "r.json").read_text())
         assert payload["mode"] == "ours"
         assert payload["time_s"] == 0.5
 
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_report_files_refuse_non_finite_numbers(self, spine, tmp_path, value):
+        report = evaluate_reconstruction(spine, spine, None, elapsed_s=value)
+        json_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+        with pytest.raises(ValueError, match=f"^{json_path}: Out of range float values"):
+            write_report_json(report, str(json_path))
+        with pytest.raises(ValueError, match=f"^{csv_path}: {value} is not a finite number$"):
+            write_report_csv([report], str(csv_path))
+        assert not json_path.exists() and not csv_path.exists()
+
+
+class TestMapLevels:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_results_in_index_order(self, cpus, monkeypatch):
+        monkeypatch.setattr(spine_module, "_usable_cpus", lambda: cpus)
+        workers = count_executors(monkeypatch)
+        assert map_levels(lambda i: i * i, 7) == [i * i for i in range(7)]
+        assert workers == ([min(cpus, 7) - 1] if cpus > 1 else [])
+
+    def test_calling_thread_is_a_worker(self, monkeypatch):
+        monkeypatch.setattr(spine_module, "_usable_cpus", lambda: 2)
+        callers = []
+
+        def fn(i):
+            callers.append(threading.get_ident())
+            time.sleep(0.01)
+            return i
+
+        assert map_levels(fn, 6) == list(range(6))
+        assert threading.get_ident() in callers and len(set(callers)) == 2
+
+    @pytest.mark.parametrize("cpus, count", [(1, 5), (8, 1), (8, 0)])
+    def test_builds_no_executor_for_one_worker(self, cpus, count, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one worker needs no executor")
+
+        monkeypatch.setattr(spine_module, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(spine_module, "_usable_cpus", lambda: cpus)
+        assert map_levels(str, count) == [str(i) for i in range(count)]
+
+    def test_no_index_handed_out_after_a_failure(self, monkeypatch):
+        monkeypatch.setattr(spine_module, "_usable_cpus", lambda: 2)
+        failed = threading.Event()
+        called = []
+
+        def fn(i):
+            called.append(i)
+            if i == 0:
+                failed.set()
+                raise ValueError("broken")
+            failed.wait(5.0)
+            time.sleep(0.05)  # the failure is recorded meanwhile
+            return i
+
+        with pytest.raises(ValueError, match="broken"):
+            map_levels(fn, 6)
+        assert sorted(called) in ([0], [0, 1])
+
+
+class TestEvaluationPool:
+    @staticmethod
+    def report_bits(report) -> dict:
+        """Every number of the report as raw bits, by field."""
+        out = {}
+        for key, value in report.to_dict().items():
+            if isinstance(value, dict):
+                out[key] = bits(list(value.values()))
+            elif isinstance(value, float):
+                out[key] = bits(value)
+        return out
+
+    def test_worker_count_changes_no_bit(self, spine, monkeypatch):
+        registered = moved_spine(spine)
+        gt_sets = [v.landmarks for v in spine.vertebrae]
+        workers = count_executors(monkeypatch)
+        with monkeypatch.context() as mp:
+            mp.setattr(spine_module, "_usable_cpus", lambda: 1)
+            serial = evaluate_reconstruction(registered, spine, gt_sets)
+        default = evaluate_reconstruction(registered, spine, gt_sets)
+        # more workers than CPUs, switching threads often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with monkeypatch.context() as mp:
+                mp.setattr(spine_module, "_usable_cpus", lambda: 8)
+                crowded = evaluate_reconstruction(registered, spine, gt_sets)
+        finally:
+            sys.setswitchinterval(interval)
+        assert workers == [n - 1 for n in (1, min(5, spine_module._usable_cpus()), 5) if n > 1]
+        want = self.report_bits(serial)
+        assert serial.p2m_full_mean > 0 and len(want) == 11
+        for report in (default, crowded):
+            assert list(report.p2m_full) == list(report.p2m_vb) == spine.levels
+            got = self.report_bits(report)
+            assert got.keys() == want.keys()
+            for key in want:
+                np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+    def test_first_failing_level_is_reported(self, spine, monkeypatch):
+        slow, fast = spine[0].mesh, spine[2].mesh
+        build = evaluation.SurfaceIndex
+
+        def index(mesh):
+            if mesh is slow:  # L1 fails after L3 has failed
+                time.sleep(0.2)
+                raise ValueError("first broken target")
+            if mesh is fast:
+                raise ValueError("second broken target")
+            return build(mesh)
+
+        monkeypatch.setattr(evaluation, "SurfaceIndex", index)
+        monkeypatch.setattr(spine_module, "_usable_cpus", lambda: 5)
+        with pytest.raises(RuntimeError,
+                           match=r"^L1: evaluation failed: first broken target$"):
+            evaluate_reconstruction(spine, spine, None)
+
+    def test_level_without_triangles_named(self, spine):
+        l3 = spine[2].mesh
+        broken = SpineModel(tuple(
+            v.with_(mesh=TriangleMesh(l3.vertices, np.zeros((0, 3), dtype=np.int64)))
+            if v.level == "L3" else v for v in spine.vertebrae))
+        with pytest.raises(RuntimeError, match=r"^L3: evaluation failed: "
+                           r"cannot index a mesh with no triangles$"):
+            evaluate_reconstruction(spine, broken, None)

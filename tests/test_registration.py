@@ -1,14 +1,14 @@
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 import spinerecon.registration as registration
-from helpers import rotation_angle_deg
+import spinerecon.spine as spine_module
+from helpers import bits, count_executors, rotation_angle_deg
 from spinerecon.anatomy import PATIENT_AXES, LandmarkSet
 from spinerecon.mesh import SurfaceIndex, apply_transform, transform_mesh
 from spinerecon.registration import (
@@ -391,10 +391,6 @@ class TestRegisterSpine:
             np.testing.assert_allclose(T, np.eye(4), atol=1e-9)
 
 
-def _bits(a):
-    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
-
-
 class TestRegisterSpinePool:
     @pytest.fixture(scope="class")
     def case(self):
@@ -403,25 +399,13 @@ class TestRegisterSpinePool:
             spine, rotation_deg=10.0, translation_mm=10.0, scale_range=(0.9, 1.1), seed=4)
         return strip_anatomy(spine), targets
 
-    @staticmethod
-    def counted_pools(monkeypatch):
-        workers = []
-
-        class Counted(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(registration, "ThreadPoolExecutor", Counted)
-        return workers
-
     @pytest.mark.parametrize("mode", ["icp", "icp_vb", "ours_icp"])
     def test_worker_count_changes_no_bit(self, case, mode, monkeypatch):
         atlas, targets = case
-        workers = self.counted_pools(monkeypatch)
+        workers = count_executors(monkeypatch)
         params = IcpParams(max_iterations=4)
         with monkeypatch.context() as mp:
-            mp.setattr(registration, "_usable_cpus", lambda: 1)
+            mp.setattr(spine_module, "_usable_cpus", lambda: 1)
             serial = register_spine(atlas, targets, mode, icp_params=params, seed=3)
         default = register_spine(atlas, targets, mode, icp_params=params, seed=3)
         # more workers than CPUs, one per level, switching threads often
@@ -429,20 +413,21 @@ class TestRegisterSpinePool:
         sys.setswitchinterval(1e-5)
         try:
             with monkeypatch.context() as mp:
-                mp.setattr(registration, "_usable_cpus", lambda: 8)
+                mp.setattr(spine_module, "_usable_cpus", lambda: 8)
                 crowded = register_spine(atlas, targets, mode, icp_params=params, seed=3)
         finally:
             sys.setswitchinterval(interval)
-        assert workers == [1, min(3, registration._usable_cpus()), 3]
+        # the calling thread is one of the workers: no executor at one CPU
+        assert workers == [n - 1 for n in (1, min(3, spine_module._usable_cpus()), 3) if n > 1]
         for run in (default, crowded):
             for want, got in zip(serial.transforms, run.transforms):
-                np.testing.assert_array_equal(_bits(got), _bits(want))
+                np.testing.assert_array_equal(bits(got), bits(want))
             for want, got in zip(serial.spine.vertebrae, run.spine.vertebrae):
-                np.testing.assert_array_equal(_bits(got.mesh.vertices), _bits(want.mesh.vertices))
+                np.testing.assert_array_equal(bits(got.mesh.vertices), bits(want.mesh.vertices))
                 np.testing.assert_array_equal(got.mesh.triangles, want.mesh.triangles)
                 np.testing.assert_array_equal(got.mesh.labels, want.mesh.labels)
-                np.testing.assert_array_equal(_bits(got.landmarks.points()),
-                                              _bits(want.landmarks.points()))
+                np.testing.assert_array_equal(bits(got.landmarks.points()),
+                                              bits(want.landmarks.points()))
 
     def test_first_failing_level_is_reported(self, case, monkeypatch):
         atlas, targets = case
@@ -458,7 +443,7 @@ class TestRegisterSpinePool:
             return build(mesh)
 
         monkeypatch.setattr(registration, "SurfaceIndex", index)
-        monkeypatch.setattr(registration, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(spine_module, "_usable_cpus", lambda: 3)
         with pytest.raises(RuntimeError, match=r"^L1: icp registration failed: first broken target$"):
             register_spine(atlas, targets, "icp", icp_params=IcpParams(max_iterations=2))
 
@@ -466,10 +451,10 @@ class TestRegisterSpinePool:
         def no_pool(*args, **kwargs):
             raise AssertionError("ours registers its levels serially")
 
-        monkeypatch.setattr(registration, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(spine_module, "ThreadPoolExecutor", no_pool)
         atlas, targets = case
         assert len(register_spine(atlas, targets, "ours").transforms) == 3
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert registration._usable_cpus() == (os.cpu_count() or 1)
+        assert spine_module._usable_cpus() == (os.cpu_count() or 1)
