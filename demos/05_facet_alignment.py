@@ -4,9 +4,10 @@ Elastic facet-joint spacing
 
 After per-vertebra registration the articular processes of adjacent
 vertebrae may overlap or gape. Each labeled facet pair is measured and
-both surfaces are warped toward the configured joint width with a
-smooth Gaussian falloff; vertebral bodies sit several falloff radii
-away and do not move.
+the upper vertebra's facet is warped onto the configured joint width,
+slid over the lower facet and each vertex set along its normal, with a
+smooth Gaussian falloff; vertebral bodies sit several falloff radii away
+and do not move.
 """
 
 import numpy as np
@@ -24,8 +25,8 @@ for initial_gap in (-0.8, 0.5, 4.0):
     spine, _ = generate_spine(params)
 
     before = facet_gap_summary(spine)["L1-L2"]
-    aligned = align_facets(spine, target_width=1.5, falloff_radius=5.0, max_passes=5)
-    after = facet_gap_summary(aligned)["L1-L2"]
+    aligned, gaps = align_facets(spine, target_width=1.5, falloff_radius=5.0, max_passes=5)
+    after = gaps["L1-L2"]
 
     print(f"initial gap {initial_gap:+.1f} mm")
     for side in ("left", "right"):

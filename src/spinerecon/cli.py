@@ -19,7 +19,7 @@ from . import __version__
 from .anatomy import LandmarkSet
 from .config import build_config
 from .evaluation import evaluate_reconstruction, write_report_csv, write_report_json
-from .facets import align_facets, facet_gap_summary
+from .facets import align_facets
 from .meshio import load_mesh, save_mesh
 from .registration import detect_spine_landmarks, register_spine
 from .spine import (
@@ -91,7 +91,7 @@ def _load_spine_dir(directory: str) -> SpineModel:
 def cmd_landmarks(args) -> int:
     config = build_config(args.config, args.set)
     pairs = _collect_meshes(args.meshes, args.levels)
-    if len(pairs) == 1:
+    if len(pairs) == 1 and config.use_spine_curve:
         print("warning: single vertebra; axes fall back to the principal axes "
               "and orientation hint (reduced accuracy)", file=sys.stderr)
     detected = detect_spine_landmarks(
@@ -127,13 +127,11 @@ def cmd_reconstruct(args) -> int:
         icp_params=config.icp_params,
         seed=config.seed,
     )
-    spine = run.spine
-    facets_state = "skipped"
+    spine, gaps = run.spine, None
     if not args.no_facets:
-        spine = align_facets(
+        spine, gaps = align_facets(
             spine, config.facet_target_width,
             config.facet_falloff_radius, config.facet_max_passes)
-        facets_state = "aligned"
 
     os.makedirs(args.out, exist_ok=True)
     fmt = config.mesh_format
@@ -143,10 +141,15 @@ def cmd_reconstruct(args) -> int:
                        vertebra.level, vertebra.landmarks)
     save_transforms(os.path.join(args.out, "transforms.json"),
                     spine.levels, list(run.transforms))
-    if facets_state == "aligned":
-        write_json(os.path.join(args.out, "facet_gaps.json"), facet_gap_summary(spine))
+    gaps_path = os.path.join(args.out, "facet_gaps.json")
+    if gaps is not None:
+        write_json(gaps_path, gaps)
+    elif os.path.exists(gaps_path):
+        # an earlier run's gaps would be reported by `evaluate` as this run's
+        os.remove(gaps_path)
     _emit("reconstruct", mode=config.mode, levels=len(spine),
-          elapsed_s=f"{run.elapsed_s:.4f}", facets=facets_state, out=args.out)
+          elapsed_s=f"{run.elapsed_s:.4f}",
+          facets="skipped" if gaps is None else "aligned", out=args.out)
     return 0
 
 

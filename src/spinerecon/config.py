@@ -35,7 +35,7 @@ DEFAULTS = {
     "facet": {
         "target_width_mm": 1.5,  # or a map from each of "L1-L2" .. "L4-L5" to a width
         "falloff_radius_mm": 5.0,
-        "max_passes": 5,
+        "max_passes": 5,  # sweeps over all facet pairs, until one moves nothing
     },
     "output": {"format": "ply"},
 }

@@ -3,9 +3,10 @@
 After registration the articular processes of adjacent vertebrae can
 interpenetrate or gape. Each facet pair (inferior facet of the upper
 vertebra against the superior facet of the lower one) is measured and
-both sides are warped toward the configured joint-space width with a
-smooth Gaussian falloff, splitting the correction equally between the
-two surfaces.
+the upper facet is warped onto the configured joint-space width with a
+smooth Gaussian falloff. The lower facet stays put: the upper one is
+slid in its plane until the two face each other, and each upper vertex
+is then set along the lower facet's normal at exactly the width.
 """
 
 from __future__ import annotations
@@ -22,11 +23,17 @@ from .mesh import (
     LABEL_FACET_SUPERIOR_RIGHT,
     TriangleMesh,
     _nearest_on_triangles,
-    center_of_mass,
 )
 from .spine import SpineModel, pair_name
 
 logger = logging.getLogger(__name__)
+
+# A pair is on target when its mean gap is within this of the width and
+# its least gap is positive.
+_GAP_TOLERANCE_MM = 0.05
+# A stepped vertex that cannot reach the width stays this far in front of
+# the lower facet's plane, so which side it is on is not left to rounding.
+_PLANE_CLEARANCE_MM = 1e-3
 
 _SIDE_LABELS = {
     "left": (LABEL_FACET_INFERIOR_LEFT, LABEL_FACET_SUPERIOR_LEFT),
@@ -40,11 +47,11 @@ class FacetPair:
 
     upper_region indexes vertices on the inferior facet of the upper
     vertebra, lower_region vertices on the superior facet of the lower
-    one. contact_normal points along the region-centroid axis, oriented
-    from the lower vertebra toward the upper one so that
-    interpenetration measures negative. lower_triangles indexes the
-    lower mesh's triangles whose three corners lie in lower_region;
-    they depend only on topology, which no warp changes.
+    one. contact_normal is the lower facet's area-weighted unit normal,
+    oriented from the lower vertebra's vertex centroid toward the upper
+    one's so that interpenetration measures negative. lower_triangles
+    indexes the lower mesh's triangles whose three corners lie in
+    lower_region; they depend only on topology, which no warp changes.
     """
 
     upper_region: np.ndarray
@@ -98,7 +105,7 @@ def identify_facet_pairs(upper: TriangleMesh, lower: TriangleMesh) -> list[Facet
             "facet alignment needs per-vertex region labels on both meshes; "
             "use labeled atlas meshes"
         )
-    axis_hint = center_of_mass(upper) - center_of_mass(lower)
+    axis_hint = upper.vertices.mean(axis=0) - lower.vertices.mean(axis=0)
     pairs = []
     for side, (upper_label, lower_label) in _SIDE_LABELS.items():
         up_idx = np.nonzero(upper.labels == upper_label)[0]
@@ -107,15 +114,38 @@ def identify_facet_pairs(upper: TriangleMesh, lower: TriangleMesh) -> list[Facet
         if len(up_idx) == 0 or len(lo_idx) == 0:
             continue
         lo_tris = np.nonzero(np.all(lo_member[lower.triangles], axis=1))[0]
-        raw = upper.vertices[up_idx].mean(axis=0) - lower.vertices[lo_idx].mean(axis=0)
-        # centroid axis flips under interpenetration; anchor the sign to
-        # the inter-vertebra direction
-        if np.linalg.norm(raw) < 1e-9:
+        a, b, c = lower.vertices[lower.triangles[lo_tris]].transpose(1, 0, 2)
+        raw = np.cross(b - a, c - a).sum(axis=0)
+        # the facet's winding is not trusted; the inter-vertebra axis
+        # lies within a few tens of degrees of a facet's normal
+        if not np.linalg.norm(raw) > 0:
             raw = axis_hint
         elif raw @ axis_hint < 0:
             raw = -raw
         pairs.append(FacetPair(up_idx, lo_idx, side, raw, lo_tris))
     return pairs
+
+
+def _signed_gaps(pair: FacetPair, points: np.ndarray,
+                 lower: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Closest points on the lower facet of `points`, and their signed distances.
+
+    A distance is negative where the point lies behind the lower facet,
+    against the contact normal, and positive elsewhere.
+    """
+    if len(pair.lower_triangles) == 0:
+        raise ValueError("facet region has no triangles")
+    tri = lower.vertices.take(lower.triangles.take(pair.lower_triangles, axis=0), axis=0)
+    closest, dist = _nearest_on_triangles(tri, points)
+    side = np.sign(np.einsum("ij,j->i", points - closest, pair.contact_normal))
+    return closest, dist * np.where(side == 0.0, 1.0, side)
+
+
+def _gap_report(signed: np.ndarray) -> GapReport:
+    lo, hi = float(signed.min()), float(signed.max())
+    # the float mean of equal values can round past them
+    return GapReport(mean_gap=min(max(float(signed.mean()), lo), hi),
+                     min_gap=lo, max_gap=hi, sample_count=len(signed))
 
 
 def measure_gap(pair: FacetPair, upper: TriangleMesh, lower: TriangleMesh) -> GapReport:
@@ -125,17 +155,7 @@ def measure_gap(pair: FacetPair, upper: TriangleMesh, lower: TriangleMesh) -> Ga
     call: the same bits as a `SurfaceIndex` over the patch, at a third of
     the cost on the 9-vertex, 8-triangle facets of the synthetic atlases.
     """
-    if len(pair.lower_triangles) == 0:
-        raise ValueError("facet region has no triangles")
-    queries = upper.vertices[pair.upper_region]
-    tri = lower.vertices.take(lower.triangles.take(pair.lower_triangles, axis=0), axis=0)
-    closest, dist = _nearest_on_triangles(tri, queries)
-    side = np.sign(np.einsum("ij,j->i", queries - closest, pair.contact_normal))
-    signed = dist * np.where(side == 0.0, 1.0, side)
-    lo, hi = float(signed.min()), float(signed.max())
-    # the float mean of equal values can round past them
-    return GapReport(mean_gap=min(max(float(signed.mean()), lo), hi),
-                     min_gap=lo, max_gap=hi, sample_count=len(signed))
+    return _gap_report(_signed_gaps(pair, upper.vertices[pair.upper_region], lower)[1])
 
 
 def elastic_warp(mesh: TriangleMesh, region, displacement,
@@ -192,15 +212,73 @@ def elastic_warp(mesh: TriangleMesh, region, displacement,
     return TriangleMesh(out, mesh.triangles, mesh.labels)
 
 
+def _on_target(report: GapReport, want: float) -> bool:
+    return abs(report.mean_gap - want) <= _GAP_TOLERANCE_MM and report.min_gap > 0
+
+
+def _landing_distance(overhang: np.ndarray, want: float) -> float:
+    """The distance D at which mean(max(D, overhang)) equals want.
+
+    A vertex that overhangs the lower facet by `overhang` in its plane is
+    at least that far from it, so it can land at D only if overhang < D.
+    D is `want` when no vertex overhangs that far; otherwise the others
+    sit closer so the mean is still `want`. Returns 0 when the overhang
+    alone puts the mean past `want`.
+    """
+    t = np.sort(overhang)
+    n = len(t)
+    beyond = np.concatenate([np.cumsum(t[::-1])[::-1], [0.0]])  # beyond[k] = sum(t[k:])
+    for k in range(n, 0, -1):
+        d = (n * want - beyond[k]) / k
+        if d >= t[k - 1]:
+            return d
+    return 0.0
+
+
+def _spacing_step(pair: FacetPair, queries: np.ndarray, lower: TriangleMesh,
+                  want: float) -> np.ndarray:
+    """Per-vertex displacements that set the upper facet `want` off the lower one.
+
+    The upper facet is slid rigidly in the lower facet's plane until the
+    two region centroids face each other along the contact normal. Each
+    vertex then moves along the normal alone, to the height at which its
+    distance to the lower facet is `_landing_distance`: exactly `want`
+    unless part of the facet still overhangs the lower one farther than
+    that. A vertex that cannot land stays `_PLANE_CLEARANCE_MM` in front
+    of the lower facet's plane. The facet's outline seen along the normal
+    is only translated, so it cannot fold.
+    """
+    n = pair.contact_normal
+    offset = lower.vertices[pair.lower_region].mean(axis=0) - queries.mean(axis=0)
+    slide = offset - (offset @ n) * n
+    slid = queries + slide
+    rel = slid - _signed_gaps(pair, slid, lower)[0]
+    height = rel @ n
+    overhang_sq = np.maximum(np.einsum("ij,ij->i", rel, rel) - height * height, 0.0)
+    land = _landing_distance(np.sqrt(overhang_sq), want)
+    target = np.maximum(np.sqrt(np.maximum(land * land - overhang_sq, 0.0)), _PLANE_CLEARANCE_MM)
+    return slide + (target - height)[:, None] * n
+
+
 def align_facets(spine: SpineModel, target_width: float | dict = 1.5,
-                 falloff_radius: float = 5.0, max_passes: int = 5) -> SpineModel:
+                 falloff_radius: float = 5.0,
+                 max_passes: int = 5) -> tuple[SpineModel, dict[str, dict[str, dict]]]:
     """Warp facet pairs of a registered spine to the target joint width.
 
     target_width is a scalar in millimeters or a per-pair map keyed
-    like "L1-L2". Each pass moves both facets of a pair toward or away
-    from each other along the contact normal by half the measured
-    error; passes repeat until the mean gap is on target and positive,
-    or max_passes is reached (then a warning is logged, not raised).
+    like "L1-L2". The facet pairs are identified once, on the input
+    meshes. A pass sweeps every pair, superior first: a pair whose mean
+    gap is off target by more than 0.05 mm, or whose least gap is not
+    positive, has its upper facet moved by `_spacing_step` (slid over the
+    lower facet, then each vertex set at the width along the lower
+    facet's normal); the lower facet stays put. Passes repeat until one
+    moves nothing, at most max_passes times; a pair still off target
+    after the last allowed pass logs a warning with its final gap
+    (nothing is raised).
+
+    Returns the aligned spine and the final gap report of every pair,
+    keyed pair -> side like facet_gap_summary, measured on the returned
+    meshes along the pairs the alignment used.
     """
     names = [pair_name(upper_v.level, lower_v.level) for upper_v, lower_v in spine.pairs()]
     widths = target_width if isinstance(target_width, dict) else dict.fromkeys(names, target_width)
@@ -209,33 +287,45 @@ def align_facets(spine: SpineModel, target_width: float | dict = 1.5,
             raise ValueError(f"target_width map is missing pair {name!r}")
         if not 0 < float(widths[name]) < np.inf:
             raise ValueError(f"target_width for {name} must be positive and finite, got {widths[name]}")
+    if max_passes < 1:
+        raise ValueError(f"max_passes must be at least 1, got {max_passes}")
 
     meshes = {v.level: v.mesh for v in spine.vertebrae}
-    for (upper_v, lower_v), name in zip(spine.pairs(), names):
-        want = float(widths[name])
-        pairs = identify_facet_pairs(meshes[upper_v.level], meshes[lower_v.level])
-        for pair in pairs:
-            for _ in range(max_passes):
-                upper_mesh = meshes[upper_v.level]
-                lower_mesh = meshes[lower_v.level]
-                report = measure_gap(pair, upper_mesh, lower_mesh)
-                error = report.mean_gap - want
-                if abs(error) <= 0.05 and report.min_gap > 0:
-                    break
-                shift = 0.5 * error * pair.contact_normal
-                meshes[upper_v.level] = elastic_warp(
-                    upper_mesh, pair.upper_region, -shift, falloff_radius)
-                meshes[lower_v.level] = elastic_warp(
-                    lower_mesh, pair.lower_region, shift, falloff_radius)
-            else:
-                final = measure_gap(pair, meshes[upper_v.level], meshes[lower_v.level])
-                logger.warning(
-                    "facet pair %s (%s) did not converge in %d passes: %s",
-                    name, pair.side, max_passes, final.to_dict(),
-                )
-    return SpineModel(tuple(
-        v.with_(mesh=meshes[v.level]) for v in spine.vertebrae
-    ))
+    jobs = [(name, upper_v.level, lower_v.level, float(widths[name]),
+             identify_facet_pairs(upper_v.mesh, lower_v.mesh))
+            for (upper_v, lower_v), name in zip(spine.pairs(), names)]
+    reports = {name: {} for name in names}
+
+    for _ in range(max_passes):
+        moved = False
+        for name, upper_level, lower_level, want, pairs in jobs:
+            upper, lower = meshes[upper_level], meshes[lower_level]
+            regions, steps = [], []
+            for pair in pairs:
+                queries = upper.vertices[pair.upper_region]
+                report = reports[name][pair.side] = _gap_report(_signed_gaps(pair, queries, lower)[1])
+                if not _on_target(report, want):
+                    regions.append(pair.upper_region)
+                    steps.append(_spacing_step(pair, queries, lower, want))
+            if regions:
+                # both sides in one warp: neither drags the other facet
+                meshes[upper_level] = elastic_warp(
+                    upper, np.concatenate(regions), np.concatenate(steps), falloff_radius)
+                moved = True
+        if not moved:
+            break
+    else:
+        for name, upper_level, lower_level, want, pairs in jobs:
+            for pair in pairs:
+                report = reports[name][pair.side] = measure_gap(
+                    pair, meshes[upper_level], meshes[lower_level])
+                if not _on_target(report, want):
+                    logger.warning("facet pair %s (%s) did not converge in %d passes: %s",
+                                   name, pair.side, max_passes, report.to_dict())
+
+    aligned = SpineModel(tuple(v.with_(mesh=meshes[v.level]) for v in spine.vertebrae))
+    return aligned, {name: {side: report.to_dict() for side, report in sides.items()}
+                     for name, sides in reports.items()}
 
 
 def facet_gap_summary(spine: SpineModel) -> dict[str, dict[str, dict]]:

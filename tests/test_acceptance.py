@@ -205,7 +205,7 @@ def test_criterion_8_facet_alignment():
                        default_vertebra_params("L2")),
             ivd_heights=(5.0,), fsu_angles=(0.0,))
         spine, _ = generate_spine(params)
-        aligned = align_facets(spine, target_width=1.5, falloff_radius=5.0, max_passes=5)
+        aligned, _ = align_facets(spine, target_width=1.5, falloff_radius=5.0, max_passes=5)
         for sides in facet_gap_summary(aligned).values():
             for rep in sides.values():
                 assert rep["mean_gap_mm"] == pytest.approx(1.5, abs=0.2)

@@ -144,8 +144,11 @@ class TestLandmarks:
         path = str(tmp_path / "vertebra_L3.ply")
         save_mesh(mesh, path)
         out = str(tmp_path / "lmk")
-        assert main(["landmarks", path, "--out", out]) == 0
-        assert "single vertebra" in capsys.readouterr().err
+        # without the spine curve every level uses the principal axes anyway
+        for use_curve, warned in (("false", False), ("true", True)):
+            assert main(["landmarks", path, "--out", out,
+                         "--set", f"anatomy.use_spine_curve={use_curve}"]) == 0
+            assert ("single vertebra" in capsys.readouterr().err) == warned
 
     def test_levels_override_and_duplicates(self, synth_dir, tmp_path, capsys):
         meshes = sorted(
@@ -272,6 +275,19 @@ class TestReconstructEvaluate:
         assert rc == 0
         assert "facets=skipped" in capsys.readouterr().out
         assert not os.path.exists(os.path.join(out, "facet_gaps.json"))
+
+    def test_no_facets_into_reused_out_drops_earlier_gaps(self, synth_dir, tmp_path):
+        out, report = str(tmp_path / "reused"), str(tmp_path / "eval" / "report.json")
+        evaluate = ["evaluate", "--registered", out, "--ground-truth", synth_dir,
+                    "--out", str(tmp_path / "eval")]
+        reconstruct = ["reconstruct", "--atlas", synth_dir, "--targets", synth_dir, "--out", out]
+        assert main(reconstruct) == 0
+        assert main(evaluate) == 0
+        assert "facet_gaps" in json.loads(open(report).read())
+        assert main([*reconstruct, "--no-facets"]) == 0
+        assert not os.path.exists(os.path.join(out, "facet_gaps.json"))
+        assert main(evaluate) == 0
+        assert "facet_gaps" not in json.loads(open(report).read())
 
     def test_reconstruct_deterministic(self, synth_dir, tmp_path):
         a, b = str(tmp_path / "ra"), str(tmp_path / "rb")

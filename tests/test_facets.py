@@ -2,10 +2,13 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
+import spinerecon as sr
 from helpers import expected_facet_gap, sheet_mesh
 from spinerecon.facets import (
     GapReport,
+    _signed_gaps,
     align_facets,
     elastic_warp,
     facet_gap_summary,
@@ -14,8 +17,10 @@ from spinerecon.facets import (
 )
 from spinerecon.mesh import (
     LABEL_FACET_INFERIOR_LEFT,
+    LABEL_FACET_INFERIOR_RIGHT,
     LABEL_FACET_SUPERIOR_LEFT,
     TriangleMesh,
+    center_of_mass,
 )
 from spinerecon.spine import SpineModel, Vertebra
 from spinerecon.synthetic import (
@@ -26,17 +31,61 @@ from spinerecon.synthetic import (
 )
 
 
-def fsu_with_gap(gap_mm: float, ivd: float = 5.0):
-    """Two-level straight stack whose facet gaps equal gap_mm by construction."""
+def fsu_with_gap(gap_mm: float, ivd: float = 5.0, levels: int = 2):
+    """Straight stack whose facet gaps all equal gap_mm by construction."""
     offset = ivd - FACET_DROP_MM - gap_mm
     params = SpineParams(
-        vertebrae=(default_vertebra_params("L1", facet_gap_offset=offset),
-                   default_vertebra_params("L2")),
-        ivd_heights=(ivd,),
-        fsu_angles=(0.0,),
+        vertebrae=tuple(default_vertebra_params(f"L{i}", facet_gap_offset=offset)
+                        for i in range(1, levels)) + (default_vertebra_params(f"L{levels}"),),
+        ivd_heights=(ivd,) * (levels - 1),
+        fsu_angles=(0.0,) * (levels - 1),
     )
-    assert expected_facet_gap(params, 0) == pytest.approx(gap_mm)
+    for i in range(levels - 1):
+        assert expected_facet_gap(params, i) == pytest.approx(gap_mm)
     return generate_spine(params)[0]
+
+
+def readme_case():
+    """The README quick start's registered spine (seed-1 spine; 6 deg, 6 mm, scales 0.95-1.1, seed 7)."""
+    spine, _ = sr.generate_spine(sr.SpineParams(seed=1))
+    targets, _, _ = sr.make_registration_case(
+        spine, rotation_deg=6, translation_mm=6, scale_range=(0.95, 1.1), seed=7)
+    return sr.register_spine(spine, targets, mode="ours").spine
+
+
+def baseline_comparison_case(mode):
+    """demos/04_baseline_comparison.py: noisy body-only targets, registered in `mode`."""
+    spine, _ = sr.generate_spine(sr.SpineParams(ivd_heights=(5.0,) * 4, fsu_angles=(0.0,) * 4))
+    targets, _, _ = sr.make_registration_case(
+        spine, rotation_deg=6.0, translation_mm=6.0, scale_range=(0.95, 1.1),
+        noise_sd=0.2, seed=19)
+    bare = SpineModel(tuple(v.with_(landmarks=None, axes=None) for v in spine.vertebrae))
+    return sr.register_spine(bare, targets, mode, icp_params=sr.IcpParams(max_iterations=60)).spine
+
+
+def triangle_shape(vertices, triangles):
+    """Areas, edge lengths and unit normals of the given triangles."""
+    a, b, c = vertices[triangles].transpose(1, 0, 2)
+    cross = np.cross(b - a, c - a)
+    area = np.linalg.norm(cross, axis=1)
+    edges = np.linalg.norm(np.stack([b - a, c - b, a - c], axis=1), axis=2)
+    return 0.5 * area, edges, cross / area[:, None]
+
+
+def assert_aligned_on_target(spine, caplog, falloff_radius=5.0, want=1.5):
+    """Align; every pair must end within 0.05 mm of want with a positive least gap."""
+    with caplog.at_level(logging.WARNING, logger="spinerecon.facets"):
+        aligned, gaps = align_facets(spine, want, falloff_radius, 5)
+    assert not caplog.records
+    assert len(gaps) == len(spine) - 1
+    for sides in gaps.values():
+        assert sorted(sides) == ["left", "right"]
+        for report in sides.values():
+            assert abs(report["mean_gap_mm"] - want) <= 0.05
+            assert report["min_gap_mm"] > 0
+    # the returned gaps are those of the returned meshes
+    assert gaps == facet_gap_summary(aligned)
+    return aligned
 
 
 class TestIdentifyFacetPairs:
@@ -66,6 +115,17 @@ class TestIdentifyFacetPairs:
             spine = fsu_with_gap(gap)
             for pair in identify_facet_pairs(spine[0].mesh, spine[1].mesh):
                 assert pair.contact_normal[2] > 0.5  # roughly +z even when interpenetrating
+
+    @pytest.mark.parametrize("case", ["readme", "baseline_comparison"])
+    def test_contact_normal_sign_matches_center_of_mass_axis(self, case):
+        # the vertex-centroid hint orients the facet normal as the
+        # area-weighted centers of mass would, and by a wide margin
+        spine = readme_case() if case == "readme" else baseline_comparison_case("ours")
+        for upper, lower in spine.pairs():
+            axis = center_of_mass(upper.mesh) - center_of_mass(lower.mesh)
+            axis /= np.linalg.norm(axis)
+            for pair in identify_facet_pairs(upper.mesh, lower.mesh):
+                assert pair.contact_normal @ axis > 0.5
 
 
 class TestMeasureGap:
@@ -102,7 +162,7 @@ class TestMeasureGap:
                             patch("L2", 0.0, LABEL_FACET_SUPERIOR_LEFT)))
         assert facet_gap_summary(spine)["L1-L2"]["left"] == {
             "mean_gap_mm": gap, "min_gap_mm": gap, "max_gap_mm": gap, "sample_count": 9}
-        aligned = align_facets(spine, target_width=gap)
+        aligned, _ = align_facets(spine, target_width=gap)
         for before, after in zip(spine.vertebrae, aligned.vertebrae):
             np.testing.assert_array_equal(after.mesh.vertices, before.mesh.vertices)
 
@@ -179,7 +239,7 @@ class TestAlignFacets:
     @pytest.mark.parametrize("gap", [-0.8, 0.5, 4.0])
     def test_converges_to_target(self, gap):
         spine = fsu_with_gap(gap)
-        aligned = align_facets(spine, target_width=1.5, falloff_radius=5.0, max_passes=5)
+        aligned, _ = align_facets(spine, target_width=1.5, falloff_radius=5.0, max_passes=5)
         for sides in facet_gap_summary(aligned).values():
             for report in sides.values():
                 assert report["mean_gap_mm"] == pytest.approx(1.5, abs=0.2)
@@ -187,7 +247,7 @@ class TestAlignFacets:
 
     def test_vertebral_body_untouched(self):
         spine = fsu_with_gap(4.0)
-        aligned = align_facets(spine, 1.5, 5.0, 5)
+        aligned, _ = align_facets(spine, 1.5, 5.0, 5)
         for before, after in zip(spine.vertebrae, aligned.vertebrae):
             vb = before.mesh.labels == 1
             moved = np.linalg.norm(
@@ -196,7 +256,7 @@ class TestAlignFacets:
 
     def test_already_at_target_is_noop(self):
         spine = fsu_with_gap(1.5)
-        aligned = align_facets(spine, 1.5, 5.0, 5)
+        aligned, _ = align_facets(spine, 1.5, 5.0, 5)
         for before, after in zip(spine.vertebrae, aligned.vertebrae):
             moved = np.linalg.norm(
                 after.mesh.vertices - before.mesh.vertices, axis=1)
@@ -204,13 +264,13 @@ class TestAlignFacets:
 
     def test_triangle_counts_preserved(self):
         spine = fsu_with_gap(-0.8)
-        aligned = align_facets(spine, 1.5, 5.0, 5)
+        aligned, _ = align_facets(spine, 1.5, 5.0, 5)
         for before, after in zip(spine.vertebrae, aligned.vertebrae):
             np.testing.assert_array_equal(after.mesh.triangles, before.mesh.triangles)
 
     def test_per_pair_width_map(self):
         spine = fsu_with_gap(4.0)
-        aligned = align_facets(spine, {"L1-L2": 2.5}, 5.0, 5)
+        aligned, _ = align_facets(spine, {"L1-L2": 2.5}, 5.0, 5)
         for report in facet_gap_summary(aligned)["L1-L2"].values():
             assert report["mean_gap_mm"] == pytest.approx(2.5, abs=0.2)
 
@@ -221,16 +281,115 @@ class TestAlignFacets:
             with pytest.raises(ValueError, match="target_width for L1-L2 must be positive"):
                 align_facets(spine, target, 5.0, 5)
 
+    def test_no_pass_rejected(self):
+        with pytest.raises(ValueError, match="max_passes must be at least 1"):
+            align_facets(fsu_with_gap(4.0), 1.5, 5.0, max_passes=0)
+
     def test_nonconvergence_logs_warning(self, caplog):
-        spine = fsu_with_gap(4.0)
+        # one pass lands L1-L2, then L2-L3's 20 mm falloff drags it off again
+        spine = fsu_with_gap(4.0, levels=5)
         with caplog.at_level(logging.WARNING, logger="spinerecon.facets"):
-            align_facets(spine, 1.5, 5.0, max_passes=1)
-        assert any("did not converge" in r.message for r in caplog.records)
+            _, gaps = align_facets(spine, 1.5, 20.0, max_passes=1)
+        warned = {(r.args[0], r.args[1]) for r in caplog.records}
+        off = {(name, side) for name, sides in gaps.items() for side, report in sides.items()
+               if abs(report["mean_gap_mm"] - 1.5) > 0.05 or report["min_gap_mm"] <= 0}
+        assert ("L1-L2", "left") in off
+        assert warned == off
+
+    def test_pass_that_lands_every_pair_logs_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="spinerecon.facets"):
+            _, gaps = align_facets(fsu_with_gap(4.0), 1.5, 5.0, max_passes=1)
+        assert not caplog.records
+        for report in gaps["L1-L2"].values():
+            assert report["mean_gap_mm"] == pytest.approx(1.5, abs=1e-9)
+
+    def test_readme_case_converges_without_folding(self, caplog):
+        # the library quick start: facet patches of adjacent levels under
+        # different affines, so no shift along one normal fits them
+        registered = readme_case()
+        aligned = assert_aligned_on_target(registered, caplog)
+        # the upper facets are slid and straightened, not crumpled: every
+        # triangle keeps its area and edge lengths within 5% and its facing
+        for before, after in zip(registered.vertebrae[:-1], aligned.vertebrae[:-1]):
+            for label in (LABEL_FACET_INFERIOR_LEFT, LABEL_FACET_INFERIOR_RIGHT):
+                tris = before.mesh.triangles[
+                    np.all(before.mesh.labels[before.mesh.triangles] == label, axis=1)]
+                a0, e0, n0 = triangle_shape(before.mesh.vertices, tris)
+                a1, e1, n1 = triangle_shape(after.mesh.vertices, tris)
+                np.testing.assert_allclose(a1, a0, rtol=0.05)
+                np.testing.assert_allclose(e1, e0, rtol=0.05)
+                assert np.all(np.einsum("ij,ij->i", n0, n1) > 0.9)
+
+    def test_sides_sliding_past_each_other_converge(self, caplog):
+        # 10 degrees and 10 mm per level: at L3-L4 the left inferior facet
+        # slides 17 mm to within 6 mm of the right one's starting place;
+        # warped one side at a time, the right facet's falloff drags it
+        spine, _ = sr.generate_spine(sr.SpineParams(seed=1))
+        targets, _, _ = sr.make_registration_case(
+            spine, rotation_deg=10, translation_mm=10, scale_range=(0.9, 1.1), seed=101)
+        assert_aligned_on_target(sr.register_spine(spine, targets, mode="ours").spine, caplog)
+
+    @pytest.mark.parametrize("mode", ["ours", "ours_icp", "icp", "icp_vb"])
+    def test_baseline_comparison_case_converges(self, mode, caplog):
+        assert_aligned_on_target(baseline_comparison_case(mode), caplog)
+
+    def test_interpenetrating_tilted_start_converges(self, caplog):
+        # the upper vertebra tilted 12 degrees about its inferior facets'
+        # centroid: they cut through the lower facets at a slant
+        spine = fsu_with_gap(-1.0)
+        mesh = spine[0].mesh
+        center = mesh.vertices[mesh.labels >= LABEL_FACET_INFERIOR_LEFT].mean(axis=0)
+        tilt = Rotation.from_euler("x", 12.0, degrees=True).as_matrix()
+        tilted = TriangleMesh((mesh.vertices - center) @ tilt.T + center,
+                              mesh.triangles, mesh.labels)
+        spine = SpineModel((spine[0].with_(mesh=tilted), spine[1]))
+        for report in facet_gap_summary(spine)["L1-L2"].values():
+            assert report["max_gap_mm"] < 0
+            assert report["max_gap_mm"] - report["min_gap_mm"] > 1.5
+        assert_aligned_on_target(spine, caplog)
+
+    def test_facet_overhanging_farther_than_the_width_converges(self, caplog):
+        # each inferior facet turned 45 degrees in its plane: after the
+        # slide its corners overhang the lower facet by 1.66 mm, more than
+        # the width, and the rest of the facet sits closer to keep the mean
+        spine = fsu_with_gap(4.0)
+        mesh = spine[0].mesh
+        verts = mesh.vertices.copy()
+        turn = Rotation.from_euler("z", 45.0, degrees=True).as_matrix()
+        for label in (LABEL_FACET_INFERIOR_LEFT, LABEL_FACET_INFERIOR_RIGHT):
+            facet = mesh.labels == label
+            center = verts[facet].mean(axis=0)
+            verts[facet] = (verts[facet] - center) @ turn.T + center
+        spine = SpineModel((spine[0].with_(mesh=TriangleMesh(verts, mesh.triangles, mesh.labels)),
+                            spine[1]))
+        aligned = assert_aligned_on_target(spine, caplog)
+        for report in facet_gap_summary(aligned)["L1-L2"].values():
+            assert report["max_gap_mm"] > 1.6
+            assert report["min_gap_mm"] < 1.45
+        # the corners are not left in the lower facet's plane, where
+        # rounding would decide which side they are on
+        upper, lower = aligned[0].mesh, aligned[1].mesh
+        for pair in identify_facet_pairs(upper, lower):
+            queries = upper.vertices[pair.upper_region]
+            closest = _signed_gaps(pair, queries, lower)[0]
+            assert np.all((queries - closest) @ pair.contact_normal > 1e-6)
+
+    def test_later_pair_falloff_is_swept_back(self, caplog):
+        # with a 20 mm falloff, aligning L2-L3 drags L2's superior facets
+        # and puts L1-L2 off target again; the next pass brings it back
+        spine = fsu_with_gap(4.0, levels=5)
+        first, _ = align_facets(SpineModel(spine.vertebrae[:2]), 1.5, 20.0, 5)
+        for report in facet_gap_summary(first)["L1-L2"].values():
+            assert abs(report["mean_gap_mm"] - 1.5) <= 0.05
+        second, _ = align_facets(SpineModel((first[1], spine[2])), 1.5, 20.0, 5)
+        for report in facet_gap_summary(SpineModel((first[0], second[0])))["L1-L2"].values():
+            assert abs(report["mean_gap_mm"] - 1.5) > 0.05
+        assert_aligned_on_target(spine, caplog, falloff_radius=20.0)
 
     def test_five_level_spine_all_pairs(self):
         params = SpineParams(fsu_angles=(0.0,) * 4, ivd_heights=(5.0,) * 4)
         spine = generate_spine(params)[0]
-        aligned = align_facets(spine, 1.5, 5.0, 5)
+        aligned, _ = align_facets(spine, 1.5, 5.0, 5)
         summary = facet_gap_summary(aligned)
         assert sorted(summary) == ["L1-L2", "L2-L3", "L3-L4", "L4-L5"]
         for sides in summary.values():

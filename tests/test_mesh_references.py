@@ -331,16 +331,19 @@ def reference_facet_triangles(mesh, region):
     return np.nonzero(np.all(member[mesh.triangles], axis=1))[0]
 
 
-def reference_measure_gap(pair, upper, lower):
-    """measure_gap with the facet triangles scanned on every call and a SurfaceIndex per call."""
+def reference_signed_gaps(pair, points, lower):
+    """The facet search with the facet triangles scanned on every call and a SurfaceIndex per call."""
     lower_triangles = reference_facet_triangles(lower, pair.lower_region)
     if len(lower_triangles) == 0:
         raise ValueError("facet region has no triangles")
     surface = SurfaceIndex(lower.submesh(lower_triangles))
-    queries = upper.vertices[pair.upper_region]
-    closest, dist = surface.query(queries)
-    side = np.sign(np.einsum("ij,j->i", queries - closest, pair.contact_normal))
-    signed = dist * np.where(side == 0.0, 1.0, side)
+    closest, dist = surface.query(points)
+    side = np.sign(np.einsum("ij,j->i", points - closest, pair.contact_normal))
+    return closest, dist * np.where(side == 0.0, 1.0, side)
+
+
+def reference_measure_gap(pair, upper, lower):
+    signed = reference_signed_gaps(pair, upper.vertices[pair.upper_region], lower)[1]
     lo, hi = float(signed.min()), float(signed.max())
     return GapReport(mean_gap=min(max(float(signed.mean()), lo), hi),
                      min_gap=lo, max_gap=hi, sample_count=len(signed))
@@ -424,7 +427,8 @@ def test_facet_pair_triangles_match_per_call_scan(scatter):
 
 
 def test_align_facets_and_gap_summary_match_reference_loop(monkeypatch, caplog):
-    # the README quick-start case, where three pairs run all five passes
+    # the README quick-start case: every pair starts off target, the
+    # first sweep lands them all and the second moves nothing
     spine, _ = sr.generate_spine(sr.SpineParams(seed=1))
     targets, _, _ = sr.make_registration_case(
         spine, rotation_deg=6, translation_mm=6, scale_range=(0.95, 1.1), seed=7)
@@ -433,18 +437,17 @@ def test_align_facets_and_gap_summary_match_reference_loop(monkeypatch, caplog):
     def align_and_measure():
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="spinerecon.facets"):
-            aligned = facets_module.align_facets(registered, target_width=1.5)
-        unconverged = sum("did not converge in 5 passes" in r.getMessage()
-                          for r in caplog.records)
-        return aligned, facets_module.facet_gap_summary(aligned), unconverged
+            aligned, gaps = facets_module.align_facets(registered, target_width=1.5)
+        unconverged = sum("did not converge" in r.getMessage() for r in caplog.records)
+        return aligned, gaps, unconverged
 
     got, got_gaps, got_unconverged = align_and_measure()
     monkeypatch.setattr(facets_module, "elastic_warp", reference_elastic_warp)
-    monkeypatch.setattr(facets_module, "measure_gap", reference_measure_gap)
+    monkeypatch.setattr(facets_module, "_signed_gaps", reference_signed_gaps)
     want, want_gaps, want_unconverged = align_and_measure()
 
-    assert got_unconverged == want_unconverged == 3
-    assert got_gaps == want_gaps
+    assert got_unconverged == want_unconverged == 0
+    assert got_gaps == want_gaps == facets_module.facet_gap_summary(want)
     for a, b in zip(got.vertebrae, want.vertebrae):
         np.testing.assert_array_equal(_bits(a.mesh.vertices), _bits(b.mesh.vertices))
 
