@@ -64,8 +64,8 @@ class FacetPair:
         up = np.asarray(self.upper_region, dtype=np.int64)
         lo = np.asarray(self.lower_region, dtype=np.int64)
         tris = np.asarray(self.lower_triangles, dtype=np.int64)
-        if len(up) == 0 or len(lo) == 0:
-            raise ValueError("facet regions must be nonempty")
+        if len(up) == 0 or len(lo) == 0 or len(tris) == 0:
+            raise ValueError("facet regions and the lower facet's triangles must be nonempty")
         n = np.asarray(self.contact_normal, dtype=np.float64).reshape(3)
         n = n / np.linalg.norm(n)
         for a in (up, lo, n, tris):
@@ -98,8 +98,14 @@ class GapReport:
         }
 
 
-def identify_facet_pairs(upper: TriangleMesh, lower: TriangleMesh) -> list[FacetPair]:
-    """Facet pairs between two adjacent vertebrae, one per labeled side."""
+def identify_facet_pairs(upper: TriangleMesh, lower: TriangleMesh,
+                         levels: tuple[str, str] = ("upper", "lower")) -> list[FacetPair]:
+    """Facet pairs between two adjacent vertebrae, one per labeled side.
+
+    levels names the two vertebrae in errors. A side whose lower facet
+    has labeled vertices but no triangle with all three corners labeled
+    has no surface to measure against, and is refused.
+    """
     if upper.labels is None or lower.labels is None:
         raise ValueError(
             "facet alignment needs per-vertex region labels on both meshes; "
@@ -114,6 +120,11 @@ def identify_facet_pairs(upper: TriangleMesh, lower: TriangleMesh) -> list[Facet
         if len(up_idx) == 0 or len(lo_idx) == 0:
             continue
         lo_tris = np.nonzero(np.all(lo_member[lower.triangles], axis=1))[0]
+        if len(lo_tris) == 0:
+            raise ValueError(
+                f"facet pair {pair_name(*levels)} ({side}): no triangle of {levels[1]} has all "
+                f"three corners labeled as its superior-{side} facet; fix the region labels "
+                f"or pass --no-facets")
         a, b, c = lower.vertices[lower.triangles[lo_tris]].transpose(1, 0, 2)
         raw = np.cross(b - a, c - a).sum(axis=0)
         # the facet's winding is not trusted; the inter-vertebra axis
@@ -133,8 +144,6 @@ def _signed_gaps(pair: FacetPair, points: np.ndarray,
     A distance is negative where the point lies behind the lower facet,
     against the contact normal, and positive elsewhere.
     """
-    if len(pair.lower_triangles) == 0:
-        raise ValueError("facet region has no triangles")
     tri = lower.vertices.take(lower.triangles.take(pair.lower_triangles, axis=0), axis=0)
     closest, dist = _nearest_on_triangles(tri, points)
     side = np.sign(np.einsum("ij,j->i", points - closest, pair.contact_normal))
@@ -292,7 +301,7 @@ def align_facets(spine: SpineModel, target_width: float | dict = 1.5,
 
     meshes = {v.level: v.mesh for v in spine.vertebrae}
     jobs = [(name, upper_v.level, lower_v.level, float(widths[name]),
-             identify_facet_pairs(upper_v.mesh, lower_v.mesh))
+             identify_facet_pairs(upper_v.mesh, lower_v.mesh, (upper_v.level, lower_v.level)))
             for (upper_v, lower_v), name in zip(spine.pairs(), names)]
     reports = {name: {} for name in names}
 
@@ -329,15 +338,16 @@ def align_facets(spine: SpineModel, target_width: float | dict = 1.5,
 
 
 def facet_gap_summary(spine: SpineModel) -> dict[str, dict[str, dict]]:
-    """Measured gap reports for every labeled facet pair, keyed pair -> side."""
+    """Measured gap reports for every labeled facet pair, keyed pair -> side.
+
+    Level pairs where either mesh has no labels are skipped.
+    """
     out: dict[str, dict[str, dict]] = {}
     for upper_v, lower_v in spine.pairs():
-        name = pair_name(upper_v.level, lower_v.level)
-        try:
-            pairs = identify_facet_pairs(upper_v.mesh, lower_v.mesh)
-        except ValueError:
+        if upper_v.mesh.labels is None or lower_v.mesh.labels is None:
             continue
-        out[name] = {
+        pairs = identify_facet_pairs(upper_v.mesh, lower_v.mesh, (upper_v.level, lower_v.level))
+        out[pair_name(upper_v.level, lower_v.level)] = {
             p.side: measure_gap(p, upper_v.mesh, lower_v.mesh).to_dict() for p in pairs
         }
     return out

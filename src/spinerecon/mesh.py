@@ -7,7 +7,6 @@ construction; every operation returns a new mesh.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -388,7 +387,9 @@ def _check_reach(pts: np.ndarray, tri: np.ndarray, reach: float) -> None:
 # test in SurfaceIndex._candidates. The kernel costs 272-282 ns per pair at
 # 4k-16k pairs but 401-451 ns at 32k-128k, once its pair-length temporaries
 # outgrow the cache; the first chunks of an ICP run, far off the surface,
-# carry 20k-63k kernel pairs and up to ~140k box tests.
+# carry 20k-63k kernel pairs and up to ~140k box tests. With these blocks
+# such a chunk peaks at about 7 MB of numpy arrays (6.1-8.5 MB under
+# tracemalloc on 2 mm levels).
 _KERNEL_PAIRS = 16_384
 
 
@@ -474,14 +475,19 @@ class SurfaceIndex:
     surface triangles versus coarse ones), each with a k-d tree over
     its centroids and every triangle's axis-aligned box. A query takes
     an exact upper bound U, the distance to the nearest-centroid
-    triangle of each stratum, then makes one radius search per stratum
-    for centroids within U + max_radius + eps and keeps a triangle only
-    if its box lies within U + eps. A triangle at distance D <= U has
-    its centroid within D + max_radius and its box within D, so neither
-    step drops the nearest triangle or one tied with it (eps absorbs
-    round-off). The exact kernel runs on the kept pairs; each query takes
-    the least distance, ties to the smallest triangle index, exactly as
-    a brute-force scan.
+    triangle of each stratum. A triangle is a candidate if its centroid
+    lies within U + max_radius + eps of the query and its box within
+    U + eps. A triangle at distance D <= U has its centroid within
+    D + max_radius and its box within D, so neither test drops the
+    nearest triangle or one tied with it (eps absorbs round-off). The
+    exact kernel runs on the candidates; each query takes the least
+    distance, ties to the smallest triangle index, exactly as a
+    brute-force scan.
+
+    The centroid test runs as one dual-tree search per band of queries
+    with similar radii, each pair cut back to its own query's radius
+    (`_candidates`): the kernel sees the pairs of a radius search per
+    query, and no Python list is built per query.
 
     An index is never changed after it is built, so queries are safe from
     several threads at once; `registration.register_spine` and
@@ -489,14 +495,16 @@ class SurfaceIndex:
     per level on the level pool (`spine.map_levels`). Box tests and the
     kernel run on blocks of at most _KERNEL_PAIRS (16,384) pairs: the
     kernel costs 272-282 ns per pair at 4k-16k pairs but 401-451 ns at
-    32k-128k, and the blocks keep a far-off 2,048-point chunk within about
-    7 MB of working arrays, so that two concurrent queries stay small.
+    32k-128k. A far-off 2,048-point chunk on a 2 mm level (20.8k-61.4k
+    kernel pairs) peaks at 6.1-8.5 MB of numpy arrays under tracemalloc,
+    which does not see the tree search's own result buffer: 24 bytes per
+    pair of the largest band, up to 235k pairs (5.6 MB) in such a chunk.
     """
 
     # Queries per chunk. Chunks of 512-4,096 points time within 6% of each
     # other on ICP queries. On a 20.8k-triangle level, 10.4k on-surface
-    # points peak at 6.5 MB of working arrays in chunks of 2,048 and at
-    # 8.1 MB in chunks of 8,192.
+    # points peak at 5.7 MB of numpy arrays (tracemalloc) in chunks of
+    # 2,048 and at 7.5 MB in chunks of 8,192.
     _CHUNK = 2048
 
     def __init__(self, mesh: TriangleMesh):
@@ -548,25 +556,53 @@ class SurfaceIndex:
         return upper
 
     def _candidates(self, pts) -> tuple[np.ndarray, np.ndarray]:
-        """Pairs (query, triangle) whose box lies within the query's upper bound, grouped by query.
+        """Pairs (query, triangle) whose centroid and box pass the class's tests, grouped by query.
 
-        The radius search's lists are freed once flattened, and boxes are
-        tested in blocks of _KERNEL_PAIRS pairs, so no (pairs, 3) array is
-        held for all of a chunk's candidates at once.
+        Per stratum, each query's search radius is U + max_radius + eps.
+        The queries, sorted by radius, go into bands whose radii differ by
+        less than max_radius; a stratum whose triangles are all points
+        (max_radius 0) is one band. Each band makes one dual-tree search,
+        a k-d tree over its points against the stratum's centroid tree,
+        out to the band's largest radius, so no query's search is cut
+        short. A pair is kept only within its own query's radius, so the
+        box test sees exactly the pairs of a radius search per query,
+        without a Python list per query, which would be built and
+        flattened holding the interpreter lock. A band finds more pairs
+        than it keeps (1.6-1.9x on 0.85 and 2 mm levels), which makes it
+        slower than a radius search per query only for far-off queries on
+        fine levels. Boxes are tested in blocks of _KERNEL_PAIRS pairs,
+        and the kept pairs of all strata are sorted by query once.
         """
+        from scipy.spatial import cKDTree
+
         upper = self._upper_bound(pts)
         eps = 1e-9 * (1.0 + upper)
         limit = (upper + eps) ** 2
         pair_q: list[np.ndarray] = []
         pair_t: list[np.ndarray] = []
         for stratum in self._strata:
-            near = stratum["tree"].query_ball_point(
-                pts, upper + stratum["max_radius"] + eps, return_sorted=False)
-            counts = np.fromiter(map(len, near), dtype=np.int64, count=len(pts))
-            local = np.fromiter(itertools.chain.from_iterable(near),
-                                dtype=np.int64, count=int(counts.sum()))
-            del near
-            qi = np.repeat(np.arange(len(pts)), counts)
+            radius = upper + stratum["max_radius"] + eps
+            order = np.argsort(radius, kind="stable")
+            sorted_radius = radius[order]
+            width = stratum["max_radius"] or np.inf  # a stratum of points is one band
+            band_q: list[np.ndarray] = []
+            band_t: list[np.ndarray] = []
+            start = 0
+            while start < len(pts):
+                # max() moves on where width is below the radius's last bit
+                stop = max(start + 1, int(np.searchsorted(
+                    sorted_radius, sorted_radius[start] + width, "left")))
+                band = order[start:stop]
+                found = cKDTree(pts.take(band, axis=0)).sparse_distance_matrix(
+                    stratum["tree"], sorted_radius[stop - 1], output_type="ndarray")
+                q = band.take(found["i"])
+                within = found["v"] <= radius.take(q)
+                band_q.append(q[within])
+                band_t.append(found["j"][within])
+                start = stop
+            qi = np.concatenate(band_q)
+            local = np.concatenate(band_t)
+            del band_q, band_t
             keep = np.empty(len(qi), dtype=bool)
             for start in range(0, len(qi), _KERNEL_PAIRS):
                 block = slice(start, start + _KERNEL_PAIRS)
@@ -582,10 +618,7 @@ class SurfaceIndex:
             pair_q.append(qi[keep])
             pair_t.append(stratum["ids"].take(local[keep]))
         qi = np.concatenate(pair_q)
-        ti = np.concatenate(pair_t)
-        if len(pair_q) > 1:
-            # each stratum's pairs are grouped by query; timsort merges the two runs
-            order = np.argsort(qi, kind="stable")
-            qi = qi[order]
-            ti = ti[order]
-        return qi, ti
+        # the narrowest key that holds a chunk's query indices: on 16-bit
+        # keys numpy's stable sort is a radix sort
+        order = np.argsort(qi.astype(np.min_scalar_type(len(pts))), kind="stable")
+        return qi.take(order), np.concatenate(pair_t).take(order)

@@ -16,8 +16,14 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 import spinerecon.spine as spine_module
-from spinerecon.mesh import TriangleMesh, _as_points, closest_points_on_triangles
-from spinerecon.synthetic import FACET_DROP_MM, SpineParams
+from spinerecon.mesh import (
+    LABEL_FACET_SUPERIOR_LEFT,
+    TriangleMesh,
+    _as_points,
+    closest_points_on_triangles,
+)
+from spinerecon.spine import SpineModel
+from spinerecon.synthetic import FACET_DROP_MM, SpineParams, generate_spine
 
 
 def bits(a) -> np.ndarray:
@@ -188,6 +194,21 @@ def expected_facet_gap(params: SpineParams, pair_index: int) -> float:
     """Analytic stacked facet gap for a straight (zero-angle) stack."""
     upper = params.vertebrae[pair_index]
     return params.ivd_heights[pair_index] - FACET_DROP_MM - upper.facet_gap_offset
+
+
+def spine_with_unmeshed_facet() -> SpineModel:
+    """The seed-1 spine with L2's superior-left facet label on every other patch vertex only.
+
+    The label stays on five of the nine patch vertices, and no triangle
+    has all three corners labeled.
+    """
+    spine, _ = generate_spine(SpineParams(seed=1))
+    mesh = spine[1].mesh
+    labels = mesh.labels.copy()
+    labels[np.flatnonzero(labels == LABEL_FACET_SUPERIOR_LEFT)[1::2]] = 0
+    assert not np.all(labels[mesh.triangles] == LABEL_FACET_SUPERIOR_LEFT, axis=1).any()
+    broken = spine[1].with_(mesh=TriangleMesh(mesh.vertices, mesh.triangles, labels))
+    return SpineModel((spine[0], broken, *spine.vertebrae[2:]))
 
 
 def rotation_angle_deg(r: np.ndarray) -> float:

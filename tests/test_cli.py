@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spinerecon
+from helpers import spine_with_unmeshed_facet
 from spinerecon.cli import main
 from spinerecon.config import build_config
 from spinerecon.mesh import TriangleMesh
@@ -275,6 +276,18 @@ class TestReconstructEvaluate:
         assert rc == 0
         assert "facets=skipped" in capsys.readouterr().out
         assert not os.path.exists(os.path.join(out, "facet_gaps.json"))
+
+    def test_facet_without_triangles_fails_naming_the_pair(self, tmp_path, capsys):
+        atlas = tmp_path / "atlas"
+        atlas.mkdir()
+        for vertebra in spine_with_unmeshed_facet().vertebrae:
+            save_mesh(vertebra.mesh, str(atlas / f"vertebra_{vertebra.level}.ply"))
+        reconstruct = ["reconstruct", "--atlas", str(atlas), "--targets", str(atlas),
+                       "--out", str(tmp_path / "out")]
+        assert main(reconstruct) == 1
+        err = capsys.readouterr().err
+        assert "L1-L2" in err and "left" in err and "--no-facets" in err
+        assert main([*reconstruct, "--no-facets"]) == 0
 
     def test_no_facets_into_reused_out_drops_earlier_gaps(self, synth_dir, tmp_path):
         out, report = str(tmp_path / "reused"), str(tmp_path / "eval" / "report.json")

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 import spinerecon as sr
-from helpers import expected_facet_gap, sheet_mesh
+from helpers import expected_facet_gap, sheet_mesh, spine_with_unmeshed_facet
 from spinerecon.facets import (
     GapReport,
     _signed_gaps,
@@ -109,6 +109,19 @@ class TestIdentifyFacetPairs:
         upper = TriangleMesh(upper.vertices, upper.triangles, labels)
         pairs = identify_facet_pairs(upper, spine[1].mesh)
         assert [p.side for p in pairs] == ["right"]
+
+    def test_facet_without_triangles_names_pair_side_and_vertebra(self):
+        spine = spine_with_unmeshed_facet()
+        want = (r"^facet pair L1-L2 \(left\): no triangle of L2 has all three corners labeled "
+                r"as its superior-left facet; fix the region labels or pass --no-facets$")
+        with pytest.raises(ValueError, match=want):
+            align_facets(spine)
+        # labeled meshes are measured, not skipped
+        with pytest.raises(ValueError, match=want):
+            facet_gap_summary(spine)
+        default = r"^facet pair upper-lower \(left\): no triangle of lower has"
+        with pytest.raises(ValueError, match=default):
+            identify_facet_pairs(spine[0].mesh, spine[1].mesh)
 
     def test_contact_normal_points_lower_to_upper(self):
         for gap in (2.0, -0.8):

@@ -291,10 +291,18 @@ class TestClosestPoint:
         np.testing.assert_allclose(p[0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_concurrent_queries_match_sequential(self):
+        # each batch holds points on, near and far off the surface, so
+        # every chunk builds a tree per band while other threads do too
         from concurrent.futures import ThreadPoolExecutor
         rng = np.random.default_rng(17)
-        index = SurfaceIndex(box_mesh(10, 8, 6))
-        batches = [rng.uniform(-12, 12, (200, 3)) for _ in range(8)]
+        mesh, _, _ = generate_vertebra(default_vertebra_params("L3", tessellation_edge=3.0))
+        index = SurfaceIndex(mesh)
+        batches = [np.vstack([
+            mesh.vertices[rng.integers(0, mesh.n_vertices, 150)],
+            mesh.vertices[rng.integers(0, mesh.n_vertices, 150)] + rng.normal(0.0, 2.0, (150, 3)),
+            rng.uniform(-60.0, 60.0, (150, 3)),
+            rng.normal(0.0, 300.0, (50, 3)),
+        ]) for _ in range(8)]
         sequential = [index.query(b) for b in batches]
         with ThreadPoolExecutor(max_workers=4) as pool:
             threaded = list(pool.map(index.query, batches))
@@ -381,9 +389,12 @@ def test_surface_index_matches_brute_force_bit_for_bit(case):
     size = float(np.ptp(mesh.vertices, axis=0).max()) or 1.0
     far = rng.normal(size=(20, 3))
     far *= 10.0 * size / np.linalg.norm(far, axis=1, keepdims=True)
+    # one chunk on, near and far off the surface: its search radii span
+    # many of the bands that _candidates searches at once
     queries = np.vstack([
         mesh.vertices,
         points_on_edges(mesh.vertices, mesh.triangles, rng, 40),
+        mesh.vertices + rng.normal(0.0, 0.05 * size, mesh.vertices.shape),
         rng.uniform(-12.0, 12.0, (40, 3)),
         center + far,
     ])
@@ -397,9 +408,9 @@ def test_surface_index_matches_brute_force_bit_for_bit(case):
 @given(st.integers(0, 2**32 - 1), st.floats(0.125, 4.0))
 def test_equidistant_parallel_triangles_resolve_to_smaller_index(seed, height):
     # mirror images in z = +h and z = -h are exactly equidistant from z = 0;
-    # 20 congruent copies far above and below split the k-d tree (16
-    # points per leaf) at z = 0, so the radius search meets the twins in
-    # z order, and one of the two index orders disagrees with it
+    # 20 congruent copies far above and below split the centroid tree (16
+    # points per leaf) at z = 0, so the dual-tree search of a band meets
+    # the twins in z order, and one of the two index orders disagrees with it
     rng = np.random.default_rng(seed)
     corners = np.c_[rng.uniform(-5.0, 5.0, (3, 2)), np.zeros(3)]
     shifts = np.c_[rng.uniform(-3.0, 3.0, (10, 2)), height + rng.uniform(25.0, 35.0, 10)]
@@ -523,6 +534,115 @@ def test_kernel_blocks_split_at_queries_past_the_default_block():
     pairs = assert_kernel_blocks_match(mesh, queries, (7, mesh_module._KERNEL_PAIRS))
     center = len(mesh.vertices[::997]) + 6
     assert pairs[center] == mesh.n_triangles > mesh_module._KERNEL_PAIRS
+
+
+def ball_search_candidates(index, pts):
+    """The pairs the kernel must see: a radius search per query and stratum, then the box test.
+
+    Returns (query, triangle) pairs sorted by query, then triangle.
+    """
+    upper = index._upper_bound(pts)
+    eps = 1e-9 * (1.0 + upper)
+    pairs = []
+    for stratum in index._strata:
+        near = stratum["tree"].query_ball_point(pts, upper + stratum["max_radius"] + eps)
+        for q, local in enumerate(near):
+            local = np.asarray(local, dtype=np.int64)
+            gap = np.maximum(stratum["lo"][local] - pts[q], pts[q] - stratum["hi"][local])
+            gap = np.maximum(gap, 0.0)
+            keep = np.einsum("ij,ij->i", gap, gap) <= (upper[q] + eps[q]) ** 2
+            pairs += [(q, t) for t in stratum["ids"][local[keep]]]
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+
+
+def assert_bands_match_ball_search(mesh, queries):
+    """The banded candidates equal the ball search's, and queries equal brute force, bit for bit."""
+    index = SurfaceIndex(mesh)
+    qi, ti = index._candidates(queries)
+    assert np.all(np.diff(qi) >= 0)
+    got = np.c_[qi, ti][np.lexsort((ti, qi))]
+    np.testing.assert_array_equal(got, ball_search_candidates(index, queries))
+    p_idx, d_idx = index.query(queries)
+    p_ref, d_ref = closest_point_brute_force(mesh, queries)
+    np.testing.assert_array_equal(_bits(p_idx), _bits(p_ref))
+    np.testing.assert_array_equal(_bits(d_idx), _bits(d_ref))
+    return index
+
+
+def point_triangles(points):
+    """Zero-area triangles whose three corners all sit on one point (distinct vertex indices)."""
+    verts = np.repeat(np.asarray(points, dtype=np.float64), 3, axis=0)
+    return verts, np.arange(len(verts)).reshape(-1, 3)
+
+
+def _vertebra_with_posterior():
+    return generate_vertebra(default_vertebra_params("L3", tessellation_edge=6.0))[0]
+
+
+def _points_and_facets():
+    # integer points average to themselves exactly, so their radius is 0;
+    # they outnumber the facets, so the median radius is 0 and the facets
+    # form a second stratum
+    verts, tris = point_triangles(np.random.default_rng(4).integers(-20, 21, (40, 3)))
+    box = box_mesh(12, 9, 7)
+    return TriangleMesh(np.vstack([verts, box.vertices]),
+                        np.vstack([tris, box.triangles + len(verts)]))
+
+
+@pytest.mark.parametrize("make, zero_radius", [
+    (lambda: uv_sphere(10.0, 12, 16), [False]),
+    (_vertebra_with_posterior, [False, False]),
+    (lambda: TriangleMesh(*point_triangles(np.random.default_rng(3).integers(-20, 21, (30, 3)))),
+     [True]),
+    (_points_and_facets, [True, False]),
+], ids=["one stratum", "two strata", "radius 0", "radius 0 and a second stratum"])
+def test_banded_candidates_match_ball_search_on_mixed_distances(make, zero_radius):
+    # one chunk of queries on, near and far (10x the mesh size) off the
+    # surface, whose search radii span several bands of every stratum
+    mesh = make()
+    rng = np.random.default_rng(11)
+    size = float(np.ptp(mesh.vertices, axis=0).max())
+    far = rng.normal(size=(30, 3))
+    far *= 10.0 * size / np.linalg.norm(far, axis=1, keepdims=True)
+    queries = np.vstack([
+        mesh.vertices,
+        mesh.vertices + rng.normal(0.0, 0.05 * size, mesh.vertices.shape),
+        rng.uniform(-size, size, (60, 3)),
+        mesh.vertices.mean(axis=0) + far,
+    ])
+    index = assert_bands_match_ball_search(mesh, queries)
+    max_radii = [stratum["max_radius"] for stratum in index._strata]
+    assert [r == 0.0 for r in max_radii] == zero_radius
+    upper = index._upper_bound(queries)
+    assert all(np.ptp(upper) > 3 * r for r in max_radii)  # several bands wide
+
+
+def test_search_radius_exactly_on_a_band_edge():
+    # queries above the centroid of one triangle; the heights are nudged
+    # until a query's search radius is exactly the first radius plus the
+    # band width, the edge where the next band starts
+    mesh = TriangleMesh([[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 6.0, 0.0]], [[0, 1, 2]])
+    index = SurfaceIndex(mesh)
+    width = index._strata[0]["max_radius"]
+
+    def radius(height):
+        upper = index._upper_bound(np.array([[0.0, 0.0, height]]))[0]
+        return upper + width + 1e-9 * (1.0 + upper)
+
+    base = 0.5  # the smallest radius, where the first band starts
+    heights = [base]
+    for _ in range(3):
+        edge = radius(base) + width
+        height = (edge - width - 1e-9) / (1.0 + 1e-9)
+        for _ in range(100):
+            if radius(height) == edge:
+                break
+            height = np.nextafter(height, np.inf if radius(height) < edge else -np.inf)
+        assert radius(height) == edge
+        heights += [np.nextafter(height, -np.inf), height, np.nextafter(height, np.inf)]
+        base = height  # the query on the edge starts the next band
+    queries = np.array([[x, y, h] for h in heights for x, y in ((0.0, 0.0), (0.5, -0.25))])
+    assert_bands_match_ball_search(mesh, queries)
 
 
 def assert_direct_search_matches(mesh, queries):
