@@ -21,7 +21,7 @@ from .config import build_config
 from .evaluation import evaluate_reconstruction, write_report_csv, write_report_json
 from .facets import align_facets
 from .meshio import load_mesh, save_mesh
-from .registration import detect_spine_landmarks, register_spine
+from .registration import MODES, detect_spine_landmarks, register_spine
 from .spine import (
     SpineModel,
     Vertebra,
@@ -35,6 +35,8 @@ from .spine import (
 from .synthetic import SpineParams, VertebraParams, generate_spine
 
 _MESH_EXTENSIONS = (".ply", ".stl", ".obj")
+# written by `reconstruct` next to transforms.json, read by `evaluate`
+_MODE_RECORD = "mode.json"
 
 
 def _emit(stage: str, **fields) -> None:
@@ -141,6 +143,7 @@ def cmd_reconstruct(args) -> int:
                        vertebra.level, vertebra.landmarks)
     save_transforms(os.path.join(args.out, "transforms.json"),
                     spine.levels, list(run.transforms))
+    write_json(os.path.join(args.out, _MODE_RECORD), {"mode": config.mode})
     gaps_path = os.path.join(args.out, "facet_gaps.json")
     if gaps is not None:
         write_json(gaps_path, gaps)
@@ -160,10 +163,28 @@ def _load_level_landmarks(path: str, level: str) -> LandmarkSet:
     return landmarks
 
 
+def _recorded_mode(directory: str) -> str | None:
+    """The mode `reconstruct` recorded in its output directory; None without a record."""
+    path = os.path.join(directory, _MODE_RECORD)
+    if not os.path.exists(path):
+        return None
+    payload = _read_json(path, "mode record")
+    if not isinstance(payload, dict) or payload.get("mode") not in MODES:
+        raise ValueError(f"mode record {path} must hold a JSON object with a 'mode' "
+                         f"of {', '.join(MODES)}")
+    return payload["mode"]
+
+
 def cmd_evaluate(args) -> int:
     if args.elapsed_s is not None and not (math.isfinite(args.elapsed_s) and args.elapsed_s >= 0):
         raise ValueError(f"--elapsed-s must be a finite number >= 0, got {args.elapsed_s}")
-    config = build_config(args.config, args.set)
+    # the recorded mode takes the place of the default; a config naming another one conflicts
+    recorded = _recorded_mode(args.registered)
+    config = build_config(args.config, args.set,
+                          base=None if recorded is None else {"registration": {"mode": recorded}})
+    if recorded is not None and config.mode != recorded:
+        raise ValueError(f"{args.registered} was reconstructed with mode {recorded!r}, "
+                         f"but the config names mode {config.mode!r}")
     registered = _load_spine_dir(args.registered)
     ground_truth = _load_spine_dir(args.ground_truth)
 

@@ -145,13 +145,16 @@ def _parse(raw: dict) -> PipelineConfig:
 
 
 def build_config(config_path: str | None = None,
-                 overrides: list[str] | None = None) -> PipelineConfig:
-    """Merge the defaults, a JSON config file and "section.key=value" overrides.
+                 overrides: list[str] | None = None, *,
+                 base: dict | None = None) -> PipelineConfig:
+    """Merge the defaults, `base`, a JSON config file and "section.key=value" overrides.
 
-    Override values are parsed as JSON when possible, otherwise taken as
-    strings. Every value is checked once; a rejection names the dotted key.
+    `base` is a partial config that replaces defaults but not what the
+    file or the overrides name. Override values are parsed as JSON when
+    possible, otherwise taken as strings. Every value is checked once; a
+    rejection names the dotted key.
     """
-    raw = copy.deepcopy(DEFAULTS)
+    raw = _merge(DEFAULTS, base or {})
     if config_path:
         loaded = _read_json(config_path, "--config")
         if not isinstance(loaded, dict):

@@ -6,7 +6,6 @@ construction; every operation returns a new mesh.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,12 +91,21 @@ class TriangleMesh:
         """Triangle corner coordinates, shape (m, 3, 3)."""
         return self.vertices.take(self.triangles, axis=0)
 
-    @functools.cached_property
+    @property
     def _face_cross(self) -> np.ndarray:
-        """(b - a) x (c - a) per triangle, computed once for normals and areas."""
-        a, b, c = (self.vertices.take(k, axis=0) for k in self.triangles.T)
-        cross = np.cross(b - a, c - a)
-        cross.flags.writeable = False
+        """(b - a) x (c - a) per triangle, computed once for normals and areas.
+
+        Cached on the instance without a lock: before Python 3.12,
+        functools.cached_property holds one lock for every mesh, which
+        serialises threads detecting different levels. Two threads that
+        race on one mesh compute the same bits.
+        """
+        cross = self.__dict__.get("_face_cross_cache")
+        if cross is None:
+            a, b, c = (self.vertices.take(k, axis=0) for k in self.triangles.T)
+            cross = np.cross(b - a, c - a)
+            cross.flags.writeable = False
+            object.__setattr__(self, "_face_cross_cache", cross)
         return cross
 
     def submesh(self, triangle_indices) -> "TriangleMesh":

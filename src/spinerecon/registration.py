@@ -165,11 +165,68 @@ class RegistrationRun:
 
 
 def detection_mesh(vertebra: Vertebra) -> TriangleMesh:
-    """Landmarks come from the vertebral body only; use the labeled submesh when present."""
+    """Landmarks come from the vertebral body only; use the labeled submesh when present.
+
+    A mesh whose labels are all body and whose vertices all lie on a
+    triangle is returned as it is: its submesh would be an equal copy.
+    """
     mesh = vertebra.mesh
-    if mesh.labels is not None and np.any(mesh.labels == LABEL_VERTEBRAL_BODY):
-        return submesh_by_label(mesh, LABEL_VERTEBRAL_BODY)
-    return mesh
+    body = None if mesh.labels is None else mesh.labels == LABEL_VERTEBRAL_BODY
+    if body is None or not body.any():
+        return mesh
+    if body.all() and np.bincount(mesh.triangles.ravel(), minlength=mesh.n_vertices).all():
+        return mesh
+    return submesh_by_label(mesh, LABEL_VERTEBRAL_BODY)
+
+
+# Detection of a level runs many small numpy calls, so two threads contend
+# for the interpreter lock: on the level pool, 10 detections took 1.06x the
+# serial time at 6.7k body triangles per level and 0.79x at 9.5k (ROADMAP
+# item 8). Smaller levels are detected in a plain loop.
+_POOL_MIN_TRIANGLES = 8000
+
+
+def _detect_landmarks(spines: list[SpineModel], *, orientation_hint: AxesEstimate,
+                      cos_threshold: float, use_spine_curve: bool) -> list[list[LandmarkSet]]:
+    """Eight landmarks per level, in level order, for each spine.
+
+    Every level without landmarks is one job, in spine order and then
+    level order. The jobs run on `spine.map_levels` when the smallest of
+    their meshes has `_POOL_MIN_TRIANGLES` or more, otherwise in a plain
+    loop; either way the lowest failing job's error is raised.
+    """
+    results = [[v.landmarks for v in spine.vertebrae] for spine in spines]
+    jobs = []  # (spine index, level index, detection mesh or None, curve tangent)
+    for s, spine in enumerate(spines):
+        todo = [i for i, v in enumerate(spine.vertebrae) if v.landmarks is None]
+        if not todo:
+            continue
+        meshes, tangents = [None] * len(spine), [None] * len(spine)
+        if use_spine_curve and len(spine) >= 2:
+            # the curve runs through every level's body, detected or not
+            meshes = [detection_mesh(v) for v in spine.vertebrae]
+            tangents = list(spine_curve_tangents([center_of_mass(m) for m in meshes]))
+        jobs += [(s, i, meshes[i], tangents[i]) for i in todo]
+
+    def detect(j: int) -> LandmarkSet:
+        s, i, mesh, tangent = jobs[j]
+        vertebra = spines[s][i]
+        if mesh is None:
+            mesh = detection_mesh(vertebra)
+        try:
+            return detect_vertebra_landmarks(
+                mesh, curve_tangent=tangent, orientation_hint=orientation_hint,
+                cos_threshold=cos_threshold)
+        except Exception as e:
+            raise RuntimeError(f"{vertebra.level}: landmark detection failed: {e}") from e
+
+    if jobs and min(spines[s][i].mesh.n_triangles for s, i, _, _ in jobs) >= _POOL_MIN_TRIANGLES:
+        detected = map_levels(detect, len(jobs))
+    else:
+        detected = [detect(j) for j in range(len(jobs))]
+    for (s, i, _, _), landmarks in zip(jobs, detected):
+        results[s][i] = landmarks
+    return results
 
 
 def detect_spine_landmarks(spine: SpineModel, *, orientation_hint: AxesEstimate,
@@ -178,27 +235,12 @@ def detect_spine_landmarks(spine: SpineModel, *, orientation_hint: AxesEstimate,
 
     A vertebra that already carries landmarks keeps them. With
     use_spine_curve and two levels or more, each level's axes are
-    refined by the tangent of a spline through the body centers.
+    refined by the tangent of a spline through the body centers. Levels
+    of 8,000 triangles or more are detected on `spine.map_levels`; the
+    landmarks and the error raised are those of a serial loop.
     """
-    if all(v.landmarks is not None for v in spine.vertebrae):
-        return [v.landmarks for v in spine.vertebrae]
-    meshes = [detection_mesh(v) for v in spine.vertebrae]
-    tangents = [None] * len(meshes)
-    if use_spine_curve and len(meshes) >= 2:
-        tangents = list(spine_curve_tangents([center_of_mass(m) for m in meshes]))
-
-    results = []
-    for vertebra, mesh, tangent in zip(spine.vertebrae, meshes, tangents):
-        if vertebra.landmarks is not None:
-            results.append(vertebra.landmarks)
-            continue
-        try:
-            results.append(detect_vertebra_landmarks(
-                mesh, curve_tangent=tangent, orientation_hint=orientation_hint,
-                cos_threshold=cos_threshold))
-        except Exception as e:
-            raise RuntimeError(f"{vertebra.level}: landmark detection failed: {e}") from e
-    return results
+    return _detect_landmarks([spine], orientation_hint=orientation_hint,
+                             cos_threshold=cos_threshold, use_spine_curve=use_spine_curve)[0]
 
 
 def _sample_rows(points: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -224,13 +266,16 @@ def register_spine(atlas: SpineModel, targets: SpineModel, mode: str = "ours", *
       icp_vb    rigid ICP of the atlas body submesh, applied to the
                 full atlas mesh
 
-    The ICP modes register the levels with `spine.map_levels`, on one
-    thread per usable CPU at most. Every level's ICP sample is drawn
-    first, in level order, so the result does not depend on the worker
-    count; when several levels fail, the first in level order is
-    reported. `ours` runs serially. The elapsed time is wall time; it covers
-    landmark detection, transform computation, and mesh application; no
-    file I/O happens here.
+    Landmark detection of the atlas and, for `ours` and `ours_icp`, the
+    targets is one map over their levels; levels of 8,000 triangles or
+    more run on `spine.map_levels`, on one thread per usable CPU at most.
+    The ICP modes register the levels on it too. Every level's ICP
+    sample is drawn first, in level order, so the result does not
+    depend on the worker count; when several levels fail, the first in
+    level order is reported, atlas detection before target detection.
+    `ours` computes its transforms serially. The elapsed time is wall
+    time; it covers landmark detection, transform computation, and mesh
+    application; no file I/O happens here.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -244,9 +289,10 @@ def register_spine(atlas: SpineModel, targets: SpineModel, mode: str = "ours", *
     t0 = time.perf_counter()
     detection = dict(orientation_hint=orientation_hint, cos_threshold=cos_threshold,
                      use_spine_curve=use_spine_curve)
-    source_landmarks = detect_spine_landmarks(atlas, **detection)
     if mode in ("ours", "ours_icp"):
-        target_landmarks = detect_spine_landmarks(targets, **detection)
+        source_landmarks, target_landmarks = _detect_landmarks([atlas, targets], **detection)
+    else:
+        [source_landmarks] = _detect_landmarks([atlas], **detection)
     if mode != "ours":
         samples = [_sample_rows((v.mesh if mode == "icp" else detection_mesh(v)).vertices,
                                 icp_params.sample_count, rng)

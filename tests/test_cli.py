@@ -537,6 +537,74 @@ def test_evaluate_names_a_missing_registered_landmark_file(synth_dir, recon_dir,
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def icp_vb_dir(synth_dir, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("recon_icp_vb"))
+    assert main(["reconstruct", "--atlas", synth_dir, "--targets", synth_dir, "--out", out,
+                 "--mode", "icp-vb", "--set", "icp.max_iterations=2"]) == 0
+    return out
+
+
+def test_evaluate_reports_the_mode_reconstruct_recorded(synth_dir, icp_vb_dir, tmp_path,
+                                                        capsys):
+    assert json.loads(open(os.path.join(icp_vb_dir, "mode.json")).read()) == {"mode": "icp_vb"}
+    out = tmp_path / "out"
+    assert main(["evaluate", "--registered", icp_vb_dir, "--ground-truth", synth_dir,
+                 "--out", str(out)]) == 0
+    assert " mode=icp_vb " in capsys.readouterr().out
+    assert json.loads((out / "report.json").read_text())["mode"] == "icp_vb"
+    assert (out / "report.csv").read_text().splitlines()[1].startswith("icp_vb,L1,")
+    # naming the recorded mode is no conflict and changes no byte
+    named = tmp_path / "named"
+    assert main(["evaluate", "--registered", icp_vb_dir, "--ground-truth", synth_dir,
+                 "--out", str(named), "--set", "registration.mode=icp_vb"]) == 0
+    assert dir_digest(named) == dir_digest(out)
+
+
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_evaluate_rejects_a_mode_other_than_the_recorded_one(source, synth_dir, icp_vb_dir,
+                                                             tmp_path, capsys):
+    if source == "set":
+        named = ["--set", "registration.mode=ours"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"registration": {"mode": "ours"}}))
+        named = ["--config", str(config)]
+    out = tmp_path / "out"
+    assert main(["evaluate", "--registered", icp_vb_dir, "--ground-truth", synth_dir,
+                 "--out", str(out), *named]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {icp_vb_dir} was reconstructed with mode 'icp_vb', "
+        "but the config names mode 'ours'\n")
+    assert not out.exists()
+
+
+def test_evaluate_without_a_mode_record_takes_the_config_mode(synth_dir, icp_vb_dir, tmp_path):
+    # an output directory written before reconstruct recorded its mode
+    registered = tmp_path / "registered"
+    shutil.copytree(icp_vb_dir, registered)
+    (registered / "mode.json").unlink()
+    for named, want in (([], "ours"), (["--set", "registration.mode=icp_vb"], "icp_vb")):
+        out = tmp_path / f"out_{want}"
+        assert main(["evaluate", "--registered", str(registered), "--ground-truth", synth_dir,
+                     "--out", str(out), *named]) == 0
+        assert json.loads((out / "report.json").read_text())["mode"] == want
+
+
+@pytest.mark.parametrize("record", ['{"mode": "best"}', '["icp_vb"]', "{"])
+def test_evaluate_rejects_a_malformed_mode_record(record, synth_dir, icp_vb_dir, tmp_path,
+                                                  capsys):
+    registered = tmp_path / "registered"
+    shutil.copytree(icp_vb_dir, registered)
+    (registered / "mode.json").write_text(record)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--registered", str(registered), "--ground-truth", synth_dir,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"mode record {registered / 'mode.json'}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 _SCIPY_PROBE = """
 import json, sys
 from spinerecon.cli import main

@@ -801,10 +801,14 @@ def test_kernel_matches_take_cascade_bit_for_bit(seed, on_grid):
 
 
 def test_face_cross_is_cached_and_read_only():
-    mesh = TriangleMesh(np.eye(3), [[0, 1, 2]])
-    assert mesh._face_cross is mesh._face_cross
+    mesh, _, _ = generate_vertebra(default_vertebra_params("L3"))
+    cross = mesh._face_cross
+    assert mesh._face_cross is cross
     with pytest.raises(ValueError):
-        mesh._face_cross[0, 0] = 1.0
+        cross[0, 0] = 1.0
+    tri = mesh.triangle_points()
+    want = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    np.testing.assert_array_equal(_bits(cross), _bits(want))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e160, 1e300, -1e300])

@@ -9,8 +9,15 @@ from scipy.spatial.transform import Rotation
 import spinerecon.registration as registration
 import spinerecon.spine as spine_module
 from helpers import bits, count_executors, rotation_angle_deg
-from spinerecon.anatomy import PATIENT_AXES, LandmarkSet
-from spinerecon.mesh import SurfaceIndex, apply_transform, transform_mesh
+from spinerecon.anatomy import PATIENT_AXES, LandmarkSet, detect_vertebra_landmarks
+from spinerecon.mesh import (
+    LABEL_VERTEBRAL_BODY,
+    SurfaceIndex,
+    TriangleMesh,
+    apply_transform,
+    submesh_by_label,
+    transform_mesh,
+)
 from spinerecon.registration import (
     IcpParams,
     VertebraFrame,
@@ -22,7 +29,7 @@ from spinerecon.registration import (
     icp_rigid,
     register_spine,
 )
-from spinerecon.spine import SpineModel
+from spinerecon.spine import SpineModel, Vertebra
 from spinerecon.synthetic import (
     SpineParams,
     default_vertebra_params,
@@ -239,9 +246,10 @@ class TestIcp:
         np.testing.assert_allclose(res.transform, np.eye(4), atol=1e-9)
 
 
-def straight_spine(n=5):
+def straight_spine(n=5, **vertebra_overrides):
     params = SpineParams(
-        vertebrae=tuple(default_vertebra_params(l) for l in ("L1", "L2", "L3", "L4", "L5")[:n]),
+        vertebrae=tuple(default_vertebra_params(l, **vertebra_overrides)
+                        for l in ("L1", "L2", "L3", "L4", "L5")[:n]),
         ivd_heights=(5.0,) * (n - 1),
         fsu_angles=(0.0,) * (n - 1),
     )
@@ -308,6 +316,31 @@ class TestRegisterSpine:
         assert built == ["L1", "L2", "L3"]
         assert got[0].to_dict() == detected[0].to_dict()
         assert all(a is v.landmarks for a, v in zip(got[1:], spine.vertebrae[1:]))
+
+    def test_body_only_mesh_is_its_own_detection_mesh(self):
+        vertebra = straight_spine(2)[0]
+        body = submesh_by_label(vertebra.mesh, LABEL_VERTEBRAL_BODY)
+        assert np.all(body.labels == LABEL_VERTEBRAL_BODY)
+        target = vertebra.with_(mesh=body, landmarks=None, axes=None)
+        assert detection_mesh(target) is body
+        # the submesh it replaces is an equal copy with the same landmarks
+        copy = body.submesh(np.arange(body.n_triangles))
+        assert copy is not body
+        np.testing.assert_array_equal(bits(copy.vertices), bits(body.vertices))
+        np.testing.assert_array_equal(copy.triangles, body.triangles)
+        got = detect_vertebra_landmarks(detection_mesh(target))
+        want = detect_vertebra_landmarks(copy)
+        np.testing.assert_array_equal(bits(got.points()), bits(want.points()))
+
+    def test_body_only_mesh_with_an_unreferenced_vertex_is_submeshed(self):
+        body = submesh_by_label(straight_spine(2)[0].mesh, LABEL_VERTEBRAL_BODY)
+        # a far vertex on no triangle would stretch the principal-axis extents
+        loose = TriangleMesh(np.vstack([body.vertices, [[500.0, 0.0, 0.0]]]), body.triangles,
+                             np.append(body.labels, LABEL_VERTEBRAL_BODY))
+        got = detection_mesh(Vertebra("L1", loose))
+        assert got is not loose
+        np.testing.assert_array_equal(bits(got.vertices), bits(body.vertices))
+        np.testing.assert_array_equal(got.triangles, body.triangles)
 
     def test_level_mismatch_rejected(self):
         spine = straight_spine()
@@ -447,13 +480,93 @@ class TestRegisterSpinePool:
         with pytest.raises(RuntimeError, match=r"^L1: icp registration failed: first broken target$"):
             register_spine(atlas, targets, "icp", icp_params=IcpParams(max_iterations=2))
 
+    @pytest.fixture(scope="class")
+    def fine_case(self):
+        # 0.85 mm: 18-23k triangles per level, above the detection pool's switch
+        spine = straight_spine(3, tessellation_edge=0.85)
+        targets = SpineModel(tuple(
+            v.with_(mesh=detection_mesh(v), landmarks=None, axes=None)
+            for v in spine.vertebrae))
+        return strip_anatomy(spine), targets
+
+    def test_pooled_detection_changes_no_bit(self, fine_case, monkeypatch):
+        atlas, targets = fine_case
+        options = dict(orientation_hint=PATIENT_AXES, cos_threshold=0.8, use_spine_curve=False)
+        workers = count_executors(monkeypatch)
+
+        def run():
+            # the last run detects each target twice, so two threads race on one mesh's
+            # cross products, on fresh meshes whose cache is empty
+            fresh = SpineModel(tuple(
+                v.with_(mesh=TriangleMesh(v.mesh.vertices, v.mesh.triangles, v.mesh.labels))
+                for v in targets.vertebrae))
+            return (detect_spine_landmarks(targets, **options),
+                    register_spine(atlas, targets, "ours"),
+                    register_spine(fresh, fresh, "ours"))
+
+        with monkeypatch.context() as mp:
+            mp.setattr(spine_module, "_usable_cpus", lambda: 1)
+            serial = run()
+        default = run()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with monkeypatch.context() as mp:
+                mp.setattr(spine_module, "_usable_cpus", lambda: 8)
+                crowded = run()
+        finally:
+            sys.setswitchinterval(interval)
+        # 3 target levels, then twice 3 atlas and 3 target levels in one map
+        cpus = spine_module._usable_cpus()
+        sizes = (min(3, cpus), min(6, cpus), min(6, cpus), 3, 6, 6)
+        assert workers == [n - 1 for n in sizes if n > 1]
+        for detected, run_, same in (default, crowded):
+            for want, got in zip(serial[2].transforms, same.transforms):
+                np.testing.assert_array_equal(bits(got), bits(want))
+            for want, got in zip(serial[0], detected):
+                np.testing.assert_array_equal(bits(got.points()), bits(want.points()))
+            for want, got in zip(serial[1].transforms, run_.transforms):
+                np.testing.assert_array_equal(bits(got), bits(want))
+            for want, got in zip(serial[1].spine.vertebrae, run_.spine.vertebrae):
+                np.testing.assert_array_equal(bits(got.mesh.vertices), bits(want.mesh.vertices))
+                np.testing.assert_array_equal(got.mesh.triangles, want.mesh.triangles)
+                np.testing.assert_array_equal(bits(got.landmarks.points()),
+                                              bits(want.landmarks.points()))
+
+    def test_atlas_detection_error_is_reported_before_a_target_level(self, case, monkeypatch):
+        atlas, targets = case
+        slow, fast = detection_mesh(atlas[2]), detection_mesh(targets[0])
+        detect = registration.detect_vertebra_landmarks
+
+        def broken(mesh, **kwargs):
+            if np.array_equal(mesh.vertices, slow.vertices):  # atlas L3 fails after target L1
+                time.sleep(0.2)
+                raise ValueError("broken atlas level")
+            if np.array_equal(mesh.vertices, fast.vertices):
+                raise ValueError("broken target level")
+            return detect(mesh, **kwargs)
+
+        monkeypatch.setattr(registration, "detect_vertebra_landmarks", broken)
+        monkeypatch.setattr(registration, "_POOL_MIN_TRIANGLES", 0)
+        monkeypatch.setattr(spine_module, "_usable_cpus", lambda: 3)
+        workers = count_executors(monkeypatch)
+        with pytest.raises(RuntimeError,
+                           match=r"^L3: landmark detection failed: broken atlas level$"):
+            register_spine(atlas, targets, "ours")
+        assert workers == [2]
+
     def test_ours_builds_no_pool(self, case, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("ours registers its levels serially")
 
         monkeypatch.setattr(spine_module, "ThreadPoolExecutor", no_pool)
+        # below the size switch, detection runs the plain loop on any CPU count
+        monkeypatch.setattr(spine_module, "_usable_cpus", lambda: 8)
         atlas, targets = case
+        assert max(v.mesh.n_triangles for v in atlas.vertebrae) < registration._POOL_MIN_TRIANGLES
         assert len(register_spine(atlas, targets, "ours").transforms) == 3
+        assert len(detect_spine_landmarks(targets, orientation_hint=PATIENT_AXES,
+                                          cos_threshold=0.8, use_spine_curve=False)) == 3
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
