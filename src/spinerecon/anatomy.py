@@ -33,6 +33,12 @@ from .mesh import (
 )
 
 
+def _cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v of 3-vectors: np.cross's products and differences, without its axis handling."""
+    (u0, u1, u2), (v0, v1, v2) = u.tolist(), v.tolist()
+    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+
+
 def _unit(v, name="vector"):
     v = np.asarray(v, dtype=np.float64).reshape(3)
     n = np.linalg.norm(v)
@@ -61,7 +67,7 @@ class AxesEstimate:
         m = np.column_stack([lat, ant, lng])
         if np.max(np.abs(m.T @ m - np.eye(3))) > 1e-6:
             raise ValueError("axes are not orthonormal")
-        if np.max(np.abs(np.cross(lat, ant) - lng)) > 1e-6:
+        if np.max(np.abs(_cross3(lat, ant) - lng)) > 1e-6:
             raise ValueError("axes are not right-handed (lateral x anterior != longitudinal)")
         for a in (lat, ant, lng):
             a.flags.writeable = False
@@ -87,6 +93,7 @@ PATIENT_AXES = AxesEstimate(
 )
 
 _LANDMARK_NAMES = ("l1", "l2", "l3", "l4", "l5", "l6", "l7", "l8")
+_VECTOR_PAIRS = np.triu_indices(4, k=1)  # the pairs of the four inferior-to-superior vectors
 
 
 @dataclass(frozen=True)
@@ -106,13 +113,14 @@ class LandmarkSet:
         pts = []
         for name in _LANDMARK_NAMES:
             p = np.asarray(getattr(self, name), dtype=np.float64).reshape(3)
-            if not np.all(np.isfinite(p)):
+            if not np.isfinite(p).all():
                 raise ValueError(f"landmark {name} is not finite")
             p.flags.writeable = False
             object.__setattr__(self, name, p)
             pts.append(p)
         arr = np.array(pts)
-        if len(np.unique(arr, axis=0)) != 8:
+        # float equality, so -0.0 equals 0.0; each point equals itself on the diagonal
+        if np.count_nonzero((arr[:, None, :] == arr[None, :, :]).all(axis=2)) != 8:
             raise ValueError("landmarks are not pairwise distinct")
         if np.dot(self.l2 - self.l1, self.l4 - self.l3) <= 0:
             raise ValueError("inconsistent left-right ordering between endplates")
@@ -121,7 +129,7 @@ class LandmarkSet:
         ups = np.array([self.l1 - self.l3, self.l2 - self.l4,
                         self.l5 - self.l7, self.l6 - self.l8])
         dots = ups @ ups.T
-        if np.any(dots[np.triu_indices(4, k=1)] <= 0):
+        if np.any(dots[_VECTOR_PAIRS] <= 0):
             raise ValueError("inferior-to-superior pair vectors are not consistently oriented")
 
     def points(self) -> np.ndarray:
@@ -264,11 +272,11 @@ def estimate_axes(mesh: TriangleMesh, curve_tangent=None,
 
     anterior = ant_cand - (ant_cand @ longitudinal) * longitudinal
     if np.linalg.norm(anterior) < 1e-8:
-        anterior = np.cross(longitudinal, lat_cand)
+        anterior = _cross3(longitudinal, lat_cand)
     anterior = _unit(anterior, "anterior")
     if anterior @ orientation_hint.anterior < 0:
         anterior = -anterior
-    lateral = np.cross(anterior, longitudinal)
+    lateral = _cross3(anterior, longitudinal)
     return AxesEstimate(lateral, anterior, longitudinal)
 
 

@@ -22,6 +22,7 @@ from .mesh import (
     LABEL_FACET_SUPERIOR_LEFT,
     LABEL_FACET_SUPERIOR_RIGHT,
     TriangleMesh,
+    _cross,
     _nearest_on_triangles,
 )
 from .spine import SpineModel, pair_name
@@ -126,7 +127,7 @@ def identify_facet_pairs(upper: TriangleMesh, lower: TriangleMesh,
                 f"three corners labeled as its superior-{side} facet; fix the region labels "
                 f"or pass --no-facets")
         a, b, c = lower.vertices[lower.triangles[lo_tris]].transpose(1, 0, 2)
-        raw = np.cross(b - a, c - a).sum(axis=0)
+        raw = _cross(b - a, c - a).sum(axis=0)
         # the facet's winding is not trusted; the inter-vertebra axis
         # lies within a few tens of degrees of a facet's normal
         if not np.linalg.norm(raw) > 0:
@@ -137,17 +138,23 @@ def identify_facet_pairs(upper: TriangleMesh, lower: TriangleMesh,
     return pairs
 
 
-def _signed_gaps(pair: FacetPair, points: np.ndarray,
-                 lower: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Closest points on the lower facet of `points`, and their signed distances.
+def _signed_gaps(sides, points) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Closest points on the lower facets, and signed distances, per (pair, lower mesh) item.
 
-    A distance is negative where the point lies behind the lower facet,
+    One search, a group per item: points holds each item's queries. A
+    distance is negative where the point lies behind the lower facet,
     against the contact normal, and positive elsewhere.
     """
-    tri = lower.vertices.take(lower.triangles.take(pair.lower_triangles, axis=0), axis=0)
-    closest, dist = _nearest_on_triangles(tri, points)
-    side = np.sign(np.einsum("ij,j->i", points - closest, pair.contact_normal))
-    return closest, dist * np.where(side == 0.0, 1.0, side)
+    tri = np.concatenate([lower.vertices.take(lower.triangles.take(pair.lower_triangles, axis=0),
+                                              axis=0) for pair, lower in sides])
+    counts = [len(p) for p in points]
+    pts = np.concatenate(points)
+    closest, dist = _nearest_on_triangles(
+        tri, pts, [(n, len(pair.lower_triangles)) for (pair, _), n in zip(sides, counts)])
+    normals = np.repeat([pair.contact_normal for pair, _ in sides], counts, axis=0)
+    side = np.sign(np.einsum("ij,ij->i", pts - closest, normals))
+    bounds = np.cumsum(counts[:-1])
+    return np.split(closest, bounds), np.split(dist * np.where(side == 0.0, 1.0, side), bounds)
 
 
 def _gap_report(signed: np.ndarray) -> GapReport:
@@ -164,7 +171,7 @@ def measure_gap(pair: FacetPair, upper: TriangleMesh, lower: TriangleMesh) -> Ga
     call: the same bits as a `SurfaceIndex` over the patch, at a third of
     the cost on the 9-vertex, 8-triangle facets of the synthetic atlases.
     """
-    return _gap_report(_signed_gaps(pair, upper.vertices[pair.upper_region], lower)[1])
+    return _gap_report(_signed_gaps([(pair, lower)], [upper.vertices[pair.upper_region]])[1][0])
 
 
 def elastic_warp(mesh: TriangleMesh, region, displacement,
@@ -244,9 +251,8 @@ def _landing_distance(overhang: np.ndarray, want: float) -> float:
     return 0.0
 
 
-def _spacing_step(pair: FacetPair, queries: np.ndarray, lower: TriangleMesh,
-                  want: float) -> np.ndarray:
-    """Per-vertex displacements that set the upper facet `want` off the lower one.
+def _spacing_steps(sides, queries, wants) -> list[np.ndarray]:
+    """Per-vertex displacements that set each upper facet (queries) `want` off the lower one.
 
     The upper facet is slid rigidly in the lower facet's plane until the
     two region centroids face each other along the contact normal. Each
@@ -255,18 +261,25 @@ def _spacing_step(pair: FacetPair, queries: np.ndarray, lower: TriangleMesh,
     unless part of the facet still overhangs the lower one farther than
     that. A vertex that cannot land stays `_PLANE_CLEARANCE_MM` in front
     of the lower facet's plane. The facet's outline seen along the normal
-    is only translated, so it cannot fold.
+    is only translated, so it cannot fold. The slid facets of all items
+    make one search.
     """
-    n = pair.contact_normal
-    offset = lower.vertices[pair.lower_region].mean(axis=0) - queries.mean(axis=0)
-    slide = offset - (offset @ n) * n
-    slid = queries + slide
-    rel = slid - _signed_gaps(pair, slid, lower)[0]
-    height = rel @ n
-    overhang_sq = np.maximum(np.einsum("ij,ij->i", rel, rel) - height * height, 0.0)
-    land = _landing_distance(np.sqrt(overhang_sq), want)
-    target = np.maximum(np.sqrt(np.maximum(land * land - overhang_sq, 0.0)), _PLANE_CLEARANCE_MM)
-    return slide + (target - height)[:, None] * n
+    slides = []
+    for (pair, lower), q in zip(sides, queries):
+        offset = lower.vertices[pair.lower_region].mean(axis=0) - q.mean(axis=0)
+        slides.append(offset - (offset @ pair.contact_normal) * pair.contact_normal)
+    slid = [q + slide for q, slide in zip(queries, slides)]
+    closest = _signed_gaps(sides, slid)[0]
+    steps = []
+    for (pair, _), slide, p, c, want in zip(sides, slides, slid, closest, wants):
+        n = pair.contact_normal
+        rel = p - c
+        height = rel @ n
+        overhang_sq = np.maximum(np.einsum("ij,ij->i", rel, rel) - height * height, 0.0)
+        land = _landing_distance(np.sqrt(overhang_sq), want)
+        target = np.maximum(np.sqrt(np.maximum(land * land - overhang_sq, 0.0)), _PLANE_CLEARANCE_MM)
+        steps.append(slide + (target - height)[:, None] * n)
+    return steps
 
 
 def align_facets(spine: SpineModel, target_width: float | dict = 1.5,
@@ -276,14 +289,16 @@ def align_facets(spine: SpineModel, target_width: float | dict = 1.5,
 
     target_width is a scalar in millimeters or a per-pair map keyed
     like "L1-L2". The facet pairs are identified once, on the input
-    meshes. A pass sweeps every pair, superior first: a pair whose mean
-    gap is off target by more than 0.05 mm, or whose least gap is not
-    positive, has its upper facet moved by `_spacing_step` (slid over the
-    lower facet, then each vertex set at the width along the lower
-    facet's normal); the lower facet stays put. Passes repeat until one
-    moves nothing, at most max_passes times; a pair still off target
-    after the last allowed pass logs a warning with its final gap
-    (nothing is raised).
+    meshes. A pass sweeps every pair: a pair whose mean gap is off
+    target by more than 0.05 mm, or whose least gap is not positive, has
+    its upper facet moved by `_spacing_steps` (slid over the lower facet,
+    then each vertex set at the width along the lower facet's normal);
+    the lower facet stays put. A pair warps only its upper level, which
+    no later pair reads, so the sweep measures and steps every pair on
+    its input meshes, one search each. Passes repeat until one moves
+    nothing, at most max_passes times; a pair still off target after the
+    last allowed pass logs a warning with its final gap (nothing is
+    raised).
 
     Returns the aligned spine and the final gap report of every pair,
     keyed pair -> side like facet_gap_summary, measured on the returned
@@ -300,37 +315,42 @@ def align_facets(spine: SpineModel, target_width: float | dict = 1.5,
         raise ValueError(f"max_passes must be at least 1, got {max_passes}")
 
     meshes = {v.level: v.mesh for v in spine.vertebrae}
-    jobs = [(name, upper_v.level, lower_v.level, float(widths[name]),
-             identify_facet_pairs(upper_v.mesh, lower_v.mesh, (upper_v.level, lower_v.level)))
-            for (upper_v, lower_v), name in zip(spine.pairs(), names)]
+    # every facet side: (pair name, upper level, lower level, width, FacetPair)
+    sides = [(name, upper_v.level, lower_v.level, float(widths[name]), pair)
+             for (upper_v, lower_v), name in zip(spine.pairs(), names)
+             for pair in identify_facet_pairs(upper_v.mesh, lower_v.mesh,
+                                              (upper_v.level, lower_v.level))]
     reports = {name: {} for name in names}
 
+    def measure():
+        """Report every side's gap on the current meshes; return the sides off target."""
+        queries = [meshes[upper].vertices[pair.upper_region] for _, upper, _, _, pair in sides]
+        signed = _signed_gaps([(pair, meshes[lower]) for _, _, lower, _, pair in sides], queries)[1]
+        off = []
+        for (name, upper, lower, want, pair), q, gaps in zip(sides, queries, signed):
+            report = reports[name][pair.side] = _gap_report(gaps)
+            if not _on_target(report, want):
+                off.append((name, upper, lower, want, pair, q))
+        return off
+
     for _ in range(max_passes):
-        moved = False
-        for name, upper_level, lower_level, want, pairs in jobs:
-            upper, lower = meshes[upper_level], meshes[lower_level]
-            regions, steps = [], []
-            for pair in pairs:
-                queries = upper.vertices[pair.upper_region]
-                report = reports[name][pair.side] = _gap_report(_signed_gaps(pair, queries, lower)[1])
-                if not _on_target(report, want):
-                    regions.append(pair.upper_region)
-                    steps.append(_spacing_step(pair, queries, lower, want))
-            if regions:
-                # both sides in one warp: neither drags the other facet
-                meshes[upper_level] = elastic_warp(
-                    upper, np.concatenate(regions), np.concatenate(steps), falloff_radius)
-                moved = True
-        if not moved:
+        off = measure() if sides else []
+        if not off:
             break
+        steps = _spacing_steps([(pair, meshes[lower]) for _, _, lower, _, pair, _ in off],
+                               [q for *_, q in off], [want for _, _, _, want, _, _ in off])
+        moves: dict[str, list] = {}
+        for (_, upper, _, _, pair, _), step in zip(off, steps):
+            moves.setdefault(upper, []).append((pair.upper_region, step))
+        for level, moved in moves.items():
+            # both sides in one warp: neither drags the other facet
+            regions, displacements = zip(*moved)
+            meshes[level] = elastic_warp(meshes[level], np.concatenate(regions),
+                                         np.concatenate(displacements), falloff_radius)
     else:
-        for name, upper_level, lower_level, want, pairs in jobs:
-            for pair in pairs:
-                report = reports[name][pair.side] = measure_gap(
-                    pair, meshes[upper_level], meshes[lower_level])
-                if not _on_target(report, want):
-                    logger.warning("facet pair %s (%s) did not converge in %d passes: %s",
-                                   name, pair.side, max_passes, report.to_dict())
+        for name, _, _, _, pair, _ in measure():
+            logger.warning("facet pair %s (%s) did not converge in %d passes: %s",
+                           name, pair.side, max_passes, reports[name][pair.side].to_dict())
 
     aligned = SpineModel(tuple(v.with_(mesh=meshes[v.level]) for v in spine.vertebrae))
     return aligned, {name: {side: report.to_dict() for side, report in sides.items()}

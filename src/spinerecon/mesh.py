@@ -28,6 +28,17 @@ def _as_points(a, name="points"):
     return out
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise u x v of (n, 3) arrays: np.cross's products and differences, without its axes."""
+    (u0, u1, u2), (v0, v1, v2) = u.T, v.T
+    out = np.empty(u.shape)
+    x, y, z = out.T
+    np.subtract(u1 * v2, u2 * v1, out=x)
+    np.subtract(u2 * v0, u0 * v2, out=y)
+    np.subtract(u0 * v1, u1 * v0, out=z)
+    return out
+
+
 @dataclass(frozen=True)
 class TriangleMesh:
     """Indexed triangle surface with optional per-vertex region labels.
@@ -103,19 +114,26 @@ class TriangleMesh:
         cross = self.__dict__.get("_face_cross_cache")
         if cross is None:
             a, b, c = (self.vertices.take(k, axis=0) for k in self.triangles.T)
-            cross = np.cross(b - a, c - a)
+            cross = _cross(b - a, c - a)
             cross.flags.writeable = False
             object.__setattr__(self, "_face_cross_cache", cross)
         return cross
 
     def submesh(self, triangle_indices) -> "TriangleMesh":
         """Mesh restricted to the given triangles, vertices re-indexed compactly."""
-        tri = self.triangles[np.asarray(triangle_indices, dtype=np.int64)]
+        kept = np.asarray(triangle_indices, dtype=np.int64)
+        tri = self.triangles[kept]
         used = np.flatnonzero(np.bincount(tri.ravel(), minlength=self.n_vertices))
         remap = np.full(self.n_vertices, -1, dtype=np.int64)
         remap[used] = np.arange(len(used))
         labels = self.labels[used] if self.labels is not None else None
-        return TriangleMesh(self.vertices[used], remap[tri], labels)
+        sub = TriangleMesh(self.vertices[used], remap[tri], labels)
+        cross = self.__dict__.get("_face_cross_cache")
+        if cross is not None:  # a kept triangle keeps its corners, so its cross product
+            cross = cross[kept]
+            cross.flags.writeable = False
+            object.__setattr__(sub, "_face_cross_cache", cross)
+        return sub
 
 
 def submesh_by_label(mesh: TriangleMesh, label: int) -> TriangleMesh:
@@ -371,23 +389,27 @@ def closest_points_on_triangles(tri: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _triangle_boxes(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-triangle axis-aligned boxes (lo, hi) of corners (m, 3, 3), and a reach.
+def _triangle_boxes(tri: np.ndarray, starts=(0,)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-triangle axis-aligned boxes (lo, hi) of corners (m, 3, 3), and a reach per run.
 
-    Within the reach of a corner, per axis, no square or product the
-    kernel forms overflows.
+    A run begins at each of starts. Within its reach of its first corner,
+    per axis, no square or product the kernel forms on the run overflows.
     """
     a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
     lo = np.minimum(np.minimum(a, b), c)
     hi = np.maximum(np.maximum(a, b), c)
-    return lo, hi, 1e150 / max(1.0, float(hi.max() - lo.min()))
+    runs = 3 * np.asarray(starts)  # lo and hi are C-ordered: a run's coordinates are one flat span
+    extent = np.maximum.reduceat(hi.ravel(), runs) - np.minimum.reduceat(lo.ravel(), runs)
+    return lo, hi, 1e150 / np.maximum(1.0, extent)
 
 
-def _check_reach(pts: np.ndarray, tri: np.ndarray, reach: float) -> None:
-    """Reject query points that are not finite or lie beyond reach of the first corner."""
-    near = np.abs(pts - tri[0, 0]) <= reach  # False for NaN
+def _check_reach(pts: np.ndarray, origin: np.ndarray, reach) -> None:
+    """Reject query points that are not finite or lie beyond reach of origin (shared or per row)."""
+    near = np.abs(pts - origin) <= np.reshape(reach, (-1, 1))  # False for NaN
     if not near.all():
-        raise ValueError(f"query point {np.argmin(near.all(axis=1))} is not finite or lies "
+        row = int(np.argmin(near.all(axis=1)))
+        reach = np.broadcast_to(reach, len(pts))[row]
+        raise ValueError(f"query point {row} is not finite or lies "
                          f"more than {reach:.3g} mm from the mesh along an axis")
 
 
@@ -442,37 +464,55 @@ def _nearest_per_query(tri: np.ndarray, pts: np.ndarray, qi: np.ndarray, ti: np.
 _DIRECT_PAIRS_PER_CHUNK = 1 << 16
 
 
-def _nearest_on_triangles(tri: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_on_triangles(tri: np.ndarray, points, sizes=None) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest points on triangles given as corners (m, 3, 3), without an index.
 
-    Each query's upper bound U is its distance to the nearest corner,
-    which lies on the surface. A triangle is kept only if its box lies
-    within U + eps (the eps of SurfaceIndex), and the exact kernel runs
-    once per chunk over the kept pairs. The nearest triangle and any tied
-    with it lie within U, so the result is bit for bit that of
-    SurfaceIndex and of a brute-force scan. Time grows as queries x
-    triangles; queries are taken in chunks of at most
-    _DIRECT_PAIRS_PER_CHUNK pairs, which bounds the memory.
+    sizes, one (point count, triangle count >= 1) per group, splits points
+    and triangles into consecutive groups; a point searches only its own
+    group (by default all form one). Each query's upper bound U is its
+    distance to its group's nearest corner, which lies on the surface. A
+    triangle is kept only if its box lies within U + eps (the eps of
+    SurfaceIndex), and the exact kernel runs once per chunk over the kept
+    pairs. The nearest triangle and any tied with it lie within U, so a
+    group's rows are bit for bit those of its own call, of SurfaceIndex
+    and of a brute-force scan. Time grows as the sum of each group's
+    points x triangles; chunks of at most _DIRECT_PAIRS_PER_CHUNK pairs
+    (or one point) bound the memory.
     """
     pts = _as_points(points)
-    lo, hi, reach = _triangle_boxes(tri)
-    _check_reach(pts, tri, reach)
-    corners = tri.reshape(1, -1, 3)
+    n_pts, n_tri = np.reshape(sizes if sizes is not None else (len(pts), len(tri)), (-1, 2)).T
+    first = np.cumsum(n_tri) - n_tri  # first triangle of each group
+    lo, hi, reach = _triangle_boxes(tri, first)
+    group = np.repeat(np.arange(len(n_pts)), n_pts)
+    _check_reach(pts, tri[first, 0].take(group, axis=0), reach.take(group))
+    first = first.take(group)  # now per point
+    count = n_tri.take(group)
+    ends = np.cumsum(count)  # pairs of point k end at ends[k]
     out_p = np.empty_like(pts)
     out_d = np.empty(len(pts))
-    step = max(1, _DIRECT_PAIRS_PER_CHUNK // len(tri))
-    for start in range(0, len(pts), step):
-        chunk = pts[start : start + step]
-        offset = chunk[:, None, :] - corners
-        upper = np.sqrt(np.einsum("qkj,qkj->qk", offset, offset).min(axis=1))
+    start = 0
+    while start < len(pts):
+        stop = max(start + 1, int(np.searchsorted(
+            ends, ends[start] - count[start] + _DIRECT_PAIRS_PER_CHUNK, "right")))
+        chunk = pts[start:stop]
+        per = count[start:stop]
+        starts = np.cumsum(per) - per  # first pair of each point of the chunk
+        qi = np.repeat(np.arange(stop - start), per)
+        ti = np.arange(len(qi)) + np.repeat(first[start:stop] - starts, per)
+        p = chunk.take(qi, axis=0)
+        offset = tri.take(ti, axis=0)
+        np.subtract(p[:, None, :], offset, out=offset)
+        # a point's pairs are consecutive: one reduceat takes the least over their corners
+        upper = np.sqrt(np.minimum.reduceat(
+            np.einsum("pkj,pkj->pk", offset, offset).ravel(), 3 * starts))
+        del offset
         eps = 1e-9 * (1.0 + upper)
         # per-axis gap from each point to each triangle's box, 0 inside it
-        gap = np.maximum(lo - chunk[:, None, :], chunk[:, None, :] - hi)
+        gap = np.maximum(lo.take(ti, axis=0) - p, p - hi.take(ti, axis=0))
         np.maximum(gap, 0.0, out=gap)
-        qi, ti = np.nonzero(np.einsum("qtj,qtj->qt", gap, gap) <= ((upper + eps) ** 2)[:, None])
-        p, d = _nearest_per_query(tri, chunk, qi, ti)
-        out_p[start : start + step] = p
-        out_d[start : start + step] = d
+        keep = np.flatnonzero(np.einsum("pj,pj->p", gap, gap) <= ((upper + eps) ** 2).take(qi))
+        out_p[start:stop], out_d[start:stop] = _nearest_per_query(tri, chunk, qi[keep], ti[keep])
+        start = stop
     return out_p, out_d
 
 
@@ -525,7 +565,7 @@ class SurfaceIndex:
         centroids = _centroids(self._tri)
         a, b, c = self._tri[:, 0], self._tri[:, 1], self._tri[:, 2]
         radii = np.sqrt(np.max([_pair_dot(x - centroids, x - centroids) for x in (a, b, c)], axis=0))
-        lo, hi, self._reach = _triangle_boxes(self._tri)
+        lo, hi, (self._reach,) = _triangle_boxes(self._tri)
         threshold = 2.0 * float(np.median(radii))
         strata_masks = [radii <= threshold]
         if np.any(~strata_masks[0]):
@@ -544,7 +584,7 @@ class SurfaceIndex:
     def query(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Exact nearest surface points and distances for a batch of queries."""
         pts = _as_points(points)
-        _check_reach(pts, self._tri, self._reach)
+        _check_reach(pts, self._tri[0, 0], self._reach)
         out_p = np.empty_like(pts)
         out_d = np.empty(len(pts))
         for start in range(0, len(pts), self._CHUNK):

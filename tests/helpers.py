@@ -22,8 +22,15 @@ from spinerecon.mesh import (
     _as_points,
     closest_points_on_triangles,
 )
+from spinerecon.registration import register_spine
 from spinerecon.spine import SpineModel
-from spinerecon.synthetic import FACET_DROP_MM, SpineParams, generate_spine
+from spinerecon.synthetic import (
+    FACET_DROP_MM,
+    SpineParams,
+    default_vertebra_params,
+    generate_spine,
+    make_registration_case,
+)
 
 
 def bits(a) -> np.ndarray:
@@ -194,6 +201,28 @@ def expected_facet_gap(params: SpineParams, pair_index: int) -> float:
     """Analytic stacked facet gap for a straight (zero-angle) stack."""
     upper = params.vertebrae[pair_index]
     return params.ivd_heights[pair_index] - FACET_DROP_MM - upper.facet_gap_offset
+
+
+def fsu_with_gap(gap_mm: float, ivd: float = 5.0, levels: int = 2):
+    """Straight stack whose facet gaps all equal gap_mm by construction."""
+    offset = ivd - FACET_DROP_MM - gap_mm
+    params = SpineParams(
+        vertebrae=tuple(default_vertebra_params(f"L{i}", facet_gap_offset=offset)
+                        for i in range(1, levels)) + (default_vertebra_params(f"L{levels}"),),
+        ivd_heights=(ivd,) * (levels - 1),
+        fsu_angles=(0.0,) * (levels - 1),
+    )
+    for i in range(levels - 1):
+        assert abs(expected_facet_gap(params, i) - gap_mm) < 1e-9
+    return generate_spine(params)[0]
+
+
+def readme_case():
+    """The README quick start's registered spine (seed-1 spine; 6 deg, 6 mm, scales 0.95-1.1, seed 7)."""
+    spine, _ = generate_spine(SpineParams(seed=1))
+    targets, _, _ = make_registration_case(
+        spine, rotation_deg=6, translation_mm=6, scale_range=(0.95, 1.1), seed=7)
+    return register_spine(spine, targets, mode="ours").spine
 
 
 def spine_with_unmeshed_facet() -> SpineModel:

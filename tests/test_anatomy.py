@@ -200,6 +200,14 @@ class TestLandmarkSet:
         with pytest.raises(ValueError, match="distinct"):
             LandmarkSet(p, p, [0, 0, -1], [1, 0, -1], [0, -1, 0],
                         [0, 1, 0], [0, -1, -1], [0, 1, -1])
+        box = dict(l1=[-1.0, 0.0, 1.0], l2=[1.0, 0.0, 1.0], l3=[-1.0, 0.0, -1.0], l4=[1.0, 0.0, -1.0],
+                   l5=[0.0, -1.0, 1.0], l6=[0.0, 1.0, 1.0], l7=[0.0, -1.0, -1.0], l8=[0.0, 1.0, -1.0])
+        LandmarkSet(**box)
+        # a duplicate that is not a neighbour in l1..l8 order, and one that
+        # differs only in the sign of a zero coordinate (equal as floats)
+        for name, point in (("l8", box["l3"]), ("l6", [-0.0, -1.0, 1.0])):
+            with pytest.raises(ValueError, match="^landmarks are not pairwise distinct$"):
+                LandmarkSet(**{**box, name: point})
 
     def test_inconsistent_left_right_rejected(self):
         with pytest.raises(ValueError, match="left-right"):

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 import spinerecon as sr
-from helpers import expected_facet_gap, sheet_mesh, spine_with_unmeshed_facet
+from helpers import fsu_with_gap, readme_case, sheet_mesh, spine_with_unmeshed_facet
 from spinerecon.facets import (
     GapReport,
     _signed_gaps,
@@ -23,34 +23,7 @@ from spinerecon.mesh import (
     center_of_mass,
 )
 from spinerecon.spine import SpineModel, Vertebra
-from spinerecon.synthetic import (
-    FACET_DROP_MM,
-    SpineParams,
-    default_vertebra_params,
-    generate_spine,
-)
-
-
-def fsu_with_gap(gap_mm: float, ivd: float = 5.0, levels: int = 2):
-    """Straight stack whose facet gaps all equal gap_mm by construction."""
-    offset = ivd - FACET_DROP_MM - gap_mm
-    params = SpineParams(
-        vertebrae=tuple(default_vertebra_params(f"L{i}", facet_gap_offset=offset)
-                        for i in range(1, levels)) + (default_vertebra_params(f"L{levels}"),),
-        ivd_heights=(ivd,) * (levels - 1),
-        fsu_angles=(0.0,) * (levels - 1),
-    )
-    for i in range(levels - 1):
-        assert expected_facet_gap(params, i) == pytest.approx(gap_mm)
-    return generate_spine(params)[0]
-
-
-def readme_case():
-    """The README quick start's registered spine (seed-1 spine; 6 deg, 6 mm, scales 0.95-1.1, seed 7)."""
-    spine, _ = sr.generate_spine(sr.SpineParams(seed=1))
-    targets, _, _ = sr.make_registration_case(
-        spine, rotation_deg=6, translation_mm=6, scale_range=(0.95, 1.1), seed=7)
-    return sr.register_spine(spine, targets, mode="ours").spine
+from spinerecon.synthetic import SpineParams, generate_spine
 
 
 def baseline_comparison_case(mode):
@@ -384,7 +357,7 @@ class TestAlignFacets:
         upper, lower = aligned[0].mesh, aligned[1].mesh
         for pair in identify_facet_pairs(upper, lower):
             queries = upper.vertices[pair.upper_region]
-            closest = _signed_gaps(pair, queries, lower)[0]
+            (closest,), _ = _signed_gaps([(pair, lower)], [queries])
             assert np.all((queries - closest) @ pair.contact_normal > 1e-6)
 
     def test_later_pair_falloff_is_swept_back(self, caplog):

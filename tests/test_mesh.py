@@ -701,6 +701,66 @@ def test_direct_search_rejects_queries_as_the_index_does():
     assert "query point 1 " in str(want.value)
 
 
+@st.composite
+def triangle_groups(draw):
+    """1-8 groups: (corners, queries) each, of different sizes, some of one or only zero-area triangles."""
+    groups = []
+    for _ in range(draw(st.integers(1, 8))):
+        mesh, rng = draw(mixed_meshes())
+        tri = mesh.triangle_points()
+        shape = draw(st.sampled_from(["whole", "one", "slivers"]))
+        if shape == "one":
+            tri = tri[rng.integers(0, len(tri)):][:1]
+        elif shape == "slivers":
+            # coincident and collinear corners: every triangle has zero area
+            tri = tri.copy()
+            tri[::2, 2] = tri[::2, 0]
+            tri[1::2, 2] = 0.5 * (tri[1::2, 0] + tri[1::2, 1])
+        corners = tri.reshape(-1, 3)
+        size = float(np.ptp(corners, axis=0).max()) or 1.0
+        far = rng.normal(size=(3, 3))
+        far *= 1e3 * size / np.linalg.norm(far, axis=1, keepdims=True)
+        queries = np.vstack([corners[:draw(st.integers(0, 12))],
+                             rng.uniform(-12.0, 12.0, (draw(st.integers(0, 12)), 3)),
+                             corners.mean(axis=0) + far[:draw(st.integers(0, 3))]])
+        groups.append((tri, queries))
+    return groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(triangle_groups(), st.integers(1, 4096))
+def test_grouped_direct_search_matches_each_group_bit_for_bit(groups, chunk_pairs):
+    # each group's rows of one grouped call against the group's own call
+    tri = np.concatenate([t for t, _ in groups])
+    queries = np.concatenate([q for _, q in groups])
+    sizes = [(len(q), len(t)) for t, q in groups]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_DIRECT_PAIRS_PER_CHUNK", chunk_pairs)
+        p_all, d_all = _nearest_on_triangles(tri, queries, sizes)
+    start = 0
+    for t, q in groups:
+        p, d = _nearest_on_triangles(t, q)
+        np.testing.assert_array_equal(_bits(p_all[start:start + len(q)]), _bits(p))
+        np.testing.assert_array_equal(_bits(d_all[start:start + len(q)]), _bits(d))
+        start += len(q)
+
+
+def test_grouped_direct_search_refuses_a_point_by_its_row_and_group_reach():
+    unit = np.eye(3)[None]
+    wide = 1e10 * unit  # reach 1e140 along an axis, against 1e150 for the unit triangle
+    tri = np.concatenate([unit, wide])
+    inside = np.zeros((2, 3))
+    far = [[0.0, 1e145, 0.0]]
+    _nearest_on_triangles(tri, np.r_[far, inside], [(1, 1), (2, 1)])  # within the unit group's reach
+    for bad in (far, [[np.nan, 0.0, 0.0]]):
+        with pytest.raises(ValueError) as want:
+            _nearest_on_triangles(wide, np.r_[inside[:1], bad])
+        assert "query point 1 " in str(want.value)
+        with pytest.raises(ValueError, match=re.escape(
+                str(want.value).replace("query point 1 ", "query point 3 "))):
+            _nearest_on_triangles(tri, np.r_[inside, inside[:1], bad], [(2, 1), (2, 1)])
+
+
 def reference_closest_points_on_triangles(tri, pts):
     """The take-cascade form of the kernel: each region in turn claims its pairs."""
     tri = np.asarray(tri, dtype=np.float64).reshape(-1, 3, 3)

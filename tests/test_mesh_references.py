@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components as csgraph_components
 import spinerecon as sr
 import spinerecon.facets as facets_module
 import spinerecon.mesh as mesh_module
-from helpers import ellipse_disk, sheet_mesh
+from helpers import ellipse_disk, fsu_with_gap, readme_case, sheet_mesh
 from spinerecon.anatomy import PATIENT_AXES, _BRIDGE_HOPS, estimate_axes, extract_endplates
 from spinerecon.facets import GapReport, elastic_warp, measure_gap
 from spinerecon.mesh import (
@@ -37,6 +37,7 @@ from spinerecon.mesh import (
     submesh_by_label,
     triangle_adjacency,
 )
+from spinerecon.spine import SpineModel, pair_name
 from spinerecon.synthetic import default_vertebra_params, generate_vertebra
 
 
@@ -426,30 +427,86 @@ def test_facet_pair_triangles_match_per_call_scan(scatter):
             np.testing.assert_array_equal(pair.lower_triangles, want)
 
 
-def test_align_facets_and_gap_summary_match_reference_loop(monkeypatch, caplog):
-    # the README quick-start case: every pair starts off target, the
-    # first sweep lands them all and the second moves nothing
+def reference_spacing_step(pair, queries, lower, want):
+    """One side's step with its own searches, as each side was stepped before the sweep was batched."""
+    n = pair.contact_normal
+    offset = lower.vertices[pair.lower_region].mean(axis=0) - queries.mean(axis=0)
+    slide = offset - (offset @ n) * n
+    slid = queries + slide
+    rel = slid - reference_signed_gaps(pair, slid, lower)[0]
+    height = rel @ n
+    overhang_sq = np.maximum(np.einsum("ij,ij->i", rel, rel) - height * height, 0.0)
+    land = facets_module._landing_distance(np.sqrt(overhang_sq), want)
+    target = np.maximum(np.sqrt(np.maximum(land * land - overhang_sq, 0.0)),
+                        facets_module._PLANE_CLEARANCE_MM)
+    return slide + (target - height)[:, None] * n
+
+
+def reference_align_facets(spine, want, falloff_radius, max_passes=5):
+    """The sequential sweep: level pairs superior first, one search per side and
+    step, and each pair's upper level warped before the next pair is measured.
+
+    Returns the aligned spine, the gap reports and the count of sides off target.
+    """
+    meshes = {v.level: v.mesh for v in spine.vertebrae}
+    jobs = [(pair_name(u.level, lo.level), u.level, lo.level,
+             facets_module.identify_facet_pairs(u.mesh, lo.mesh)) for u, lo in spine.pairs()]
+    reports = {name: {} for name, *_ in jobs}
+    unconverged = 0
+    for _ in range(max_passes):
+        moved = False
+        for name, upper_level, lower_level, pairs in jobs:
+            upper, lower = meshes[upper_level], meshes[lower_level]
+            regions, steps = [], []
+            for pair in pairs:
+                report = reports[name][pair.side] = reference_measure_gap(pair, upper, lower)
+                if not facets_module._on_target(report, want):
+                    regions.append(pair.upper_region)
+                    steps.append(reference_spacing_step(
+                        pair, upper.vertices[pair.upper_region], lower, want))
+            if regions:
+                meshes[upper_level] = reference_elastic_warp(
+                    upper, np.concatenate(regions), np.concatenate(steps), falloff_radius)
+                moved = True
+        if not moved:
+            break
+    else:
+        for name, upper_level, lower_level, pairs in jobs:
+            for pair in pairs:
+                report = reports[name][pair.side] = reference_measure_gap(
+                    pair, meshes[upper_level], meshes[lower_level])
+                unconverged += not facets_module._on_target(report, want)
+    aligned = SpineModel(tuple(v.with_(mesh=meshes[v.level]) for v in spine.vertebrae))
+    return aligned, {name: {side: r.to_dict() for side, r in sides.items()}
+                     for name, sides in reports.items()}, unconverged
+
+
+def sliding_case():
+    """10 degrees and 10 mm per level: at L3-L4 the left inferior facet slides past the right one."""
     spine, _ = sr.generate_spine(sr.SpineParams(seed=1))
     targets, _, _ = sr.make_registration_case(
-        spine, rotation_deg=6, translation_mm=6, scale_range=(0.95, 1.1), seed=7)
-    registered = sr.register_spine(spine, targets, mode="ours").spine
+        spine, rotation_deg=10, translation_mm=10, scale_range=(0.9, 1.1), seed=101)
+    return sr.register_spine(spine, targets, mode="ours").spine
 
-    def align_and_measure():
+
+def test_align_facets_and_gap_summary_match_reference_loop(caplog):
+    # the README case (the first sweep lands every pair, the second moves
+    # nothing); a 5-level stack whose 20 mm falloff drags each landed pair
+    # off again, over five passes and cut at one; sides sliding past each other
+    stack = fsu_with_gap(4.0, levels=5)
+    cases = [(readme_case(), 5.0, 5, 0), (stack, 20.0, 5, 0), (stack, 20.0, 1, 6),
+             (sliding_case(), 5.0, 5, 0)]
+    for spine, falloff_radius, max_passes, unconverged in cases:
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="spinerecon.facets"):
-            aligned, gaps = facets_module.align_facets(registered, target_width=1.5)
-        unconverged = sum("did not converge" in r.getMessage() for r in caplog.records)
-        return aligned, gaps, unconverged
-
-    got, got_gaps, got_unconverged = align_and_measure()
-    monkeypatch.setattr(facets_module, "elastic_warp", reference_elastic_warp)
-    monkeypatch.setattr(facets_module, "_signed_gaps", reference_signed_gaps)
-    want, want_gaps, want_unconverged = align_and_measure()
-
-    assert got_unconverged == want_unconverged == 0
-    assert got_gaps == want_gaps == facets_module.facet_gap_summary(want)
-    for a, b in zip(got.vertebrae, want.vertebrae):
-        np.testing.assert_array_equal(_bits(a.mesh.vertices), _bits(b.mesh.vertices))
+            got, got_gaps = facets_module.align_facets(spine, 1.5, falloff_radius, max_passes)
+        want, want_gaps, want_unconverged = reference_align_facets(
+            spine, 1.5, falloff_radius, max_passes)
+        assert sum("did not converge" in r.getMessage() for r in caplog.records) \
+            == want_unconverged == unconverged
+        assert got_gaps == want_gaps == facets_module.facet_gap_summary(want)
+        for a, b in zip(got.vertebrae, want.vertebrae):
+            np.testing.assert_array_equal(_bits(a.mesh.vertices), _bits(b.mesh.vertices))
 
 
 def _sheet_facet(label, nx, ny, z, rng, tilt=0.0):
