@@ -2,7 +2,8 @@
 
 Each reference below is the earlier form of a library function (np.unique,
 lexsort, mean(axis=1), np.add.at, column min/max, np.setdiff1d, a k-d tree,
-a per-call triangle scan, a SurfaceIndex per facet, scipy's csgraph). The
+a per-call triangle scan, a SurfaceIndex per facet, scipy's csgraph, a
+facet sweep that searches and warps one level pair at a time). The
 library must match it bit for bit, on meshes with unreferenced vertices,
 zero-area triangles and edges shared by three or more triangles.
 """
