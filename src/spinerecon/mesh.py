@@ -153,7 +153,7 @@ def face_normals(mesh: TriangleMesh) -> np.ndarray:
     degenerate; they are never fatal.
     """
     n = mesh._face_cross
-    length = np.linalg.norm(n, axis=1)
+    length = _row_norms(n)
     safe = np.where(length > 0.0, length, 1.0)
     out = n / safe[:, None]
     out[length == 0.0] = 0.0
@@ -161,7 +161,7 @@ def face_normals(mesh: TriangleMesh) -> np.ndarray:
 
 
 def face_areas(mesh: TriangleMesh) -> np.ndarray:
-    return 0.5 * np.linalg.norm(mesh._face_cross, axis=1)
+    return 0.5 * _row_norms(mesh._face_cross)
 
 
 def center_of_mass(mesh: TriangleMesh) -> np.ndarray:
@@ -183,7 +183,7 @@ def median_edge_length(mesh: TriangleMesh) -> float:
     """Median length over the unique undirected edges of the mesh."""
     keys = np.sort(_edge_keys(mesh))
     first, second = np.divmod(keys[np.diff(keys, prepend=-1) != 0], mesh.n_vertices)
-    lengths = np.linalg.norm(mesh.vertices[first] - mesh.vertices[second], axis=1)
+    lengths = _row_norms(mesh.vertices[first] - mesh.vertices[second])
     return float(np.median(lengths))
 
 
@@ -305,6 +305,33 @@ def _pair_dot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1) of an (n, 3) array, with the same bits.
+
+    norm adds the squared columns left to right, as here, but numpy
+    reduces a length-3 axis slowly: 337 against about 70 µs per
+    16,384 rows.
+    """
+    sq = x * x
+    out = sq[:, 0] + sq[:, 1]
+    out += sq[:, 2]
+    return np.sqrt(out, out=out)
+
+
+def _corner_rows(tri) -> np.ndarray:
+    """Corners (m, 3, 3) as a view of a C-contiguous (3, m, 3) array: each corner's rows are contiguous.
+
+    closest_points_on_triangles copies nothing for such a view, and
+    _take_triangles gathers rows of it without a copy of the whole array.
+    """
+    return np.ascontiguousarray(np.transpose(tri, (1, 0, 2))).transpose(1, 0, 2)
+
+
+def _take_triangles(tri: np.ndarray, ids) -> np.ndarray:
+    """Triangles ids of corners held as _corner_rows gives them, held the same way."""
+    return tri.transpose(1, 0, 2).take(ids, axis=1).transpose(1, 0, 2)
+
+
 def closest_points_on_triangles(tri: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Exact closest point on triangle i to point i, vectorized over pairs.
 
@@ -313,10 +340,18 @@ def closest_points_on_triangles(tri: np.ndarray, pts: np.ndarray) -> np.ndarray:
     only that region's formula is evaluated on it. Degenerate (zero-area)
     triangles pass no test and are resolved as the closest point over
     their three edges.
+
+    The corners are first copied corner by corner (no copy for the
+    corner-major view of _corner_rows), so that every difference below
+    subtracts contiguous rows: about 27 against 178 µs for strided
+    column views of a 16,384-pair block. The region tests are written
+    into one label array from the last to the first, so that the first
+    test that holds wins, and one bincount skips the regions no pair
+    falls in: small calls no longer pay a fixed scan per region.
     """
     tri = np.asarray(tri, dtype=np.float64).reshape(-1, 3, 3)
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    a, b, c = np.ascontiguousarray(tri.transpose(1, 0, 2))
     ab = b - a
     ac = c - a
     ap = pts - a
@@ -334,54 +369,61 @@ def closest_points_on_triangles(tri: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
     d43 = d4 - d3
     d56 = d5 - d6
-    # Voronoi region of each pair; the first condition that holds wins
-    region = np.select(
-        [(d1 <= 0.0) & (d2 <= 0.0),
-         (d3 >= 0.0) & (d4 <= d3),
-         (d6 >= 0.0) & (d5 <= d6),
-         (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & (d1 - d3 != 0.0),
-         (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0) & (d2 - d6 != 0.0),
-         (va <= 0.0) & (d43 >= 0.0) & (d56 >= 0.0) & (d43 + d56 != 0.0),
-         va + vb + vc != 0.0],
-        np.arange(7, dtype=np.int8), default=np.int8(7))
+    # Voronoi region of each pair: a later write overrides an earlier
+    # one, so the tests go last to first and the first that holds wins
+    region = np.full(len(pts), 7, dtype=np.int8)
+    region[va + vb + vc != 0.0] = 6
+    region[(va <= 0.0) & (d43 >= 0.0) & (d56 >= 0.0) & (d43 + d56 != 0.0)] = 5
+    region[(vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0) & (d2 - d6 != 0.0)] = 4
+    region[(vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & (d1 - d3 != 0.0)] = 3
+    region[(d6 >= 0.0) & (d5 <= d6)] = 2
+    region[(d3 >= 0.0) & (d4 <= d3)] = 1
+    region[(d1 <= 0.0) & (d2 <= 0.0)] = 0
+    counts = np.bincount(region, minlength=8)
 
     out = np.empty_like(pts)
     for r, corner in enumerate((a, b, c)):
-        rows = np.flatnonzero(region == r)
-        out[rows] = corner[rows]
+        if counts[r]:
+            rows = np.flatnonzero(region == r)
+            out[rows] = corner.take(rows, axis=0)
 
-    rows = np.flatnonzero(region == 3)
-    v = d1[rows] / (d1[rows] - d3[rows])
-    out[rows] = a[rows] + v[:, None] * ab[rows]
+    if counts[3]:
+        rows = np.flatnonzero(region == 3)
+        v = d1[rows] / (d1[rows] - d3[rows])
+        out[rows] = a[rows] + v[:, None] * ab[rows]
 
-    rows = np.flatnonzero(region == 4)
-    v = d2[rows] / (d2[rows] - d6[rows])
-    out[rows] = a[rows] + v[:, None] * ac[rows]
+    if counts[4]:
+        rows = np.flatnonzero(region == 4)
+        v = d2[rows] / (d2[rows] - d6[rows])
+        out[rows] = a[rows] + v[:, None] * ac[rows]
 
-    rows = np.flatnonzero(region == 5)
-    v = d43[rows] / (d43[rows] + d56[rows])
-    out[rows] = b[rows] + v[:, None] * (c[rows] - b[rows])
+    if counts[5]:
+        rows = np.flatnonzero(region == 5)
+        v = d43[rows] / (d43[rows] + d56[rows])
+        out[rows] = b[rows] + v[:, None] * (c[rows] - b[rows])
 
-    rows = np.flatnonzero(region == 6)
-    den = va[rows] + vb[rows] + vc[rows]
-    v = vb[rows] / den
-    w = vc[rows] / den
-    out[rows] = a[rows] + v[:, None] * ab[rows] + w[:, None] * ac[rows]
+    if counts[6]:
+        rows = np.flatnonzero(region == 6)
+        den = va[rows] + vb[rows] + vc[rows]
+        v = vb[rows] / den
+        w = vc[rows] / den
+        out[rows] = a[rows] + v[:, None] * ab[rows] + w[:, None] * ac[rows]
 
-    rem = np.flatnonzero(region == 7)
-    if len(rem):
+    if counts[7]:
         # degenerate triangles: closest point over the three edges
+        rem = np.flatnonzero(region == 7)
         best_d = np.full(len(rem), np.inf)
         best_p = np.empty((len(rem), 3))
-        corners = tri[rem]
+        q = pts[rem]
+        corners = a[rem], b[rem], c[rem]
         for k0, k1 in ((0, 1), (1, 2), (2, 0)):
-            e0, e1 = corners[:, k0], corners[:, k1]
+            e0, e1 = corners[k0], corners[k1]
             seg = e1 - e0
             seg_len2 = _pair_dot(seg, seg)
-            t = _pair_dot(pts[rem] - e0, seg) / np.where(seg_len2 > 0, seg_len2, 1.0)
+            t = _pair_dot(q - e0, seg) / np.where(seg_len2 > 0, seg_len2, 1.0)
             t = np.clip(np.where(seg_len2 > 0, t, 0.0), 0.0, 1.0)
             cand = e0 + t[:, None] * seg
-            d = np.linalg.norm(cand - pts[rem], axis=1)
+            d = _row_norms(cand - q)
             better = d < best_d
             best_d[better] = d[better]
             best_p[better] = cand[better]
@@ -414,12 +456,13 @@ def _check_reach(pts: np.ndarray, origin: np.ndarray, reach) -> None:
 
 
 # Query-triangle pairs per kernel call in _nearest_per_query, and per box
-# test in SurfaceIndex._candidates. The kernel costs 272-282 ns per pair at
-# 4k-16k pairs but 401-451 ns at 32k-128k, once its pair-length temporaries
-# outgrow the cache; the first chunks of an ICP run, far off the surface,
-# carry 20k-63k kernel pairs and up to ~140k box tests. With these blocks
-# such a chunk peaks at about 7 MB of numpy arrays (6.1-8.5 MB under
-# tracemalloc on 2 mm levels).
+# test in SurfaceIndex._candidates. The kernel, with its corner gather,
+# costs 158-171 ns per pair at 4k-16k pairs but 186-294 ns at 32k-128k,
+# once its pair-length temporaries outgrow the cache (best of 7 on ICP
+# candidate pairs of a 2 mm level, 2-vCPU VM); the first chunks of an ICP
+# run, far off the surface, carry 20k-63k kernel pairs and up to ~140k box
+# tests. With these blocks such a chunk peaks at 4.0-7.0 MB of numpy arrays
+# under tracemalloc (the first twelve ICP chunks of seed 1, 2 mm levels).
 _KERNEL_PAIRS = 16_384
 
 
@@ -431,6 +474,8 @@ def _nearest_per_query(tri: np.ndarray, pts: np.ndarray, qi: np.ndarray, ti: np.
     ties to the smallest triangle index, exactly as a brute-force scan.
     The kernel runs on blocks of whole queries holding at most
     _KERNEL_PAIRS pairs; a query with more pairs forms its own block.
+    tri is held as _corner_rows gives it, so a block's corners are
+    gathered corner-major and the kernel copies none of them.
     Returns (closest_points, distances), one row per query.
     """
     new_query = np.empty(len(qi), dtype=bool)
@@ -448,8 +493,8 @@ def _nearest_per_query(tri: np.ndarray, pts: np.ndarray, qi: np.ndarray, ti: np.
         t = ti[lo:hi]
         starts = bounds[k0:k1] - lo
         p = pts.take(qi[lo:hi], axis=0)
-        cand = closest_points_on_triangles(tri.take(t, axis=0), p)
-        d = np.linalg.norm(cand - p, axis=1)
+        cand = closest_points_on_triangles(_take_triangles(tri, t), p)
+        d = _row_norms(cand - p)
         nearest = d == np.minimum.reduceat(d, starts)[q]
         first = np.minimum.reduceat(np.where(nearest, t, len(tri)), starts)
         best = np.flatnonzero(nearest & (t == first[q]))
@@ -488,6 +533,7 @@ def _nearest_on_triangles(tri: np.ndarray, points, sizes=None) -> tuple[np.ndarr
     first = first.take(group)  # now per point
     count = n_tri.take(group)
     ends = np.cumsum(count)  # pairs of point k end at ends[k]
+    corners = _corner_rows(tri)
     out_p = np.empty_like(pts)
     out_d = np.empty(len(pts))
     start = 0
@@ -511,9 +557,46 @@ def _nearest_on_triangles(tri: np.ndarray, points, sizes=None) -> tuple[np.ndarr
         gap = np.maximum(lo.take(ti, axis=0) - p, p - hi.take(ti, axis=0))
         np.maximum(gap, 0.0, out=gap)
         keep = np.flatnonzero(np.einsum("pj,pj->p", gap, gap) <= ((upper + eps) ** 2).take(qi))
-        out_p[start:stop], out_d[start:stop] = _nearest_per_query(tri, chunk, qi[keep], ti[keep])
+        out_p[start:stop], out_d[start:stop] = _nearest_per_query(corners, chunk, qi[keep], ti[keep])
         start = stop
     return out_p, out_d
+
+
+# Bands of SurfaceIndex._candidates: a band's radii stay below this factor
+# times its smallest radius. Found pairs per pair kept, and serial replay
+# time of the seed-1 recorded queries (best of 4, 2-vCPU VM; probe: each
+# fine_ours level, 6,000 vertices moved by 10 deg and 10 mm):
+#
+#   factor                    1.1     1.25    1.5     2.0
+#   fine_ours evaluation      1.07    1.12    1.14    1.16   found / kept
+#   noisy_batch evaluation    1.14    1.41    1.92    2.89
+#   icp_baselines ICP         1.17    1.42    1.83    2.49
+#   fine_ours evaluation      0.311   0.319   0.325   0.318  s
+#   noisy_batch evaluation    0.248   0.244   0.243   0.257
+#   icp_baselines ICP         1.950   1.793   1.841   1.915
+#   off-surface probe         1.165   1.107   1.185   1.446
+_BAND_FACTOR = 1.25
+
+
+# The cKDTree options of _kd_tree, measured on a 20.8k-triangle fine_ours
+# level (ms, best of 7): the centroid tree's build, the nearest-centroid
+# lookup of 2,048 on-surface points and one band's search, its tree's
+# build included; then the serial replay of the seed-1 recorded queries
+# (ms, best of 4):
+#
+#   balanced_tree, compact_nodes   True,True  True,False  False,True  False,False
+#   build                          5.06       4.11        2.46        2.06
+#   nearest                        1.57       1.64        1.24        1.46
+#   band search                    3.76       3.24        3.95        2.71
+#   fine_ours replay               348        368         339         310
+#   noisy_batch replay             230        226         228         222
+#   icp_baselines replay           2139       2142        2239        2120
+def _kd_tree(points):
+    """The k-d tree of every SurfaceIndex search: sliding-midpoint splits, nodes not shrunk."""
+    # imported here, so that only code that builds an index loads SciPy
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points, balanced_tree=False, compact_nodes=False)
 
 
 class SurfaceIndex:
@@ -532,21 +615,29 @@ class SurfaceIndex:
     distance, ties to the smallest triangle index, exactly as a
     brute-force scan.
 
-    The centroid test runs as one dual-tree search per band of queries
-    with similar radii, each pair cut back to its own query's radius
-    (`_candidates`): the kernel sees the pairs of a radius search per
-    query, and no Python list is built per query.
+    U comes from one kernel call per chunk over the nearest-centroid
+    triangles of every stratum. The centroid test runs as one dual-tree
+    search per band of queries whose radii lie within _BAND_FACTOR
+    (1.25) of the band's smallest, each pair cut back to its own query's
+    radius (`_candidates`): the kernel sees the pairs of a radius search
+    per query, and no Python list is built per query. Every k-d tree,
+    the centroid trees and each band's point tree, is built by _kd_tree
+    with sliding-midpoint splits. None of these choices changes which
+    pairs reach the kernel: a result depends on neither the tree shape,
+    nor the bands, nor which valid bound is used.
 
     An index is never changed after it is built, so queries are safe from
     several threads at once; `registration.register_spine` and
     `evaluation.evaluate_reconstruction` rely on it, building one index
-    per level on the level pool (`spine.map_levels`). Box tests and the
-    kernel run on blocks of at most _KERNEL_PAIRS (16,384) pairs: the
-    kernel costs 272-282 ns per pair at 4k-16k pairs but 401-451 ns at
-    32k-128k. A far-off 2,048-point chunk on a 2 mm level (20.8k-61.4k
-    kernel pairs) peaks at 6.1-8.5 MB of numpy arrays under tracemalloc,
-    which does not see the tree search's own result buffer: 24 bytes per
-    pair of the largest band, up to 235k pairs (5.6 MB) in such a chunk.
+    per level on the level pool (`spine.map_levels`). The corners are
+    held corner-major (_corner_rows), so the kernel gathers contiguous
+    corner rows and copies none. Box tests and the kernel run on blocks
+    of at most _KERNEL_PAIRS (16,384) pairs: the kernel costs 158-171 ns
+    per pair at 4k-16k pairs but 186-294 ns at 32k-128k. A far-off
+    2,048-point chunk on a 2 mm level peaks at 4.0-7.0 MB of numpy arrays
+    under tracemalloc, which does not see the tree search's own result
+    buffer: 24 bytes per pair of the largest band, up to 142k pairs
+    (3.4 MB) on the seed-1 `icp_baselines` ICP queries.
     """
 
     # Queries per chunk. Chunks of 512-4,096 points time within 6% of each
@@ -556,12 +647,10 @@ class SurfaceIndex:
     _CHUNK = 2048
 
     def __init__(self, mesh: TriangleMesh):
-        # imported here, so that only code that builds an index loads SciPy
-        from scipy.spatial import cKDTree
-
         if mesh.n_triangles == 0:
             raise ValueError("cannot index a mesh with no triangles")
-        self._tri = mesh.triangle_points()
+        # corner-major, as _corner_rows holds corners: gathered in one take
+        self._tri = mesh.vertices.take(mesh.triangles.T, axis=0).transpose(1, 0, 2)
         centroids = _centroids(self._tri)
         a, b, c = self._tri[:, 0], self._tri[:, 1], self._tri[:, 2]
         radii = np.sqrt(np.max([_pair_dot(x - centroids, x - centroids) for x in (a, b, c)], axis=0))
@@ -575,7 +664,7 @@ class SurfaceIndex:
             ids = np.nonzero(mask)[0]
             self._strata.append({
                 "ids": ids,
-                "tree": cKDTree(centroids[ids]),
+                "tree": _kd_tree(centroids[ids]),
                 "lo": lo[ids],
                 "hi": hi[ids],
                 "max_radius": float(radii[ids].max()),
@@ -595,34 +684,33 @@ class SurfaceIndex:
         return out_p, out_d
 
     def _upper_bound(self, pts) -> np.ndarray:
-        """Exact distance to the nearest-centroid triangle of each stratum (an upper bound)."""
-        upper = np.full(len(pts), np.inf)
-        for stratum in self._strata:
-            _, near = stratum["tree"].query(pts)
-            cand = closest_points_on_triangles(self._tri.take(stratum["ids"][near], axis=0), pts)
-            upper = np.minimum(upper, np.linalg.norm(cand - pts, axis=1))
-        return upper
+        """Exact distance to the nearest-centroid triangle of each stratum (an upper bound).
+
+        One kernel call takes every stratum's triangles, each paired with its query.
+        """
+        near = np.concatenate([stratum["ids"].take(stratum["tree"].query(pts)[1])
+                               for stratum in self._strata])
+        rows = np.tile(pts, (len(self._strata), 1))
+        cand = closest_points_on_triangles(_take_triangles(self._tri, near), rows)
+        return _row_norms(cand - rows).reshape(len(self._strata), -1).min(axis=0)
 
     def _candidates(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """Pairs (query, triangle) whose centroid and box pass the class's tests, grouped by query.
 
         Per stratum, each query's search radius is U + max_radius + eps.
-        The queries, sorted by radius, go into bands whose radii differ by
-        less than max_radius; a stratum whose triangles are all points
-        (max_radius 0) is one band. Each band makes one dual-tree search,
-        a k-d tree over its points against the stratum's centroid tree,
-        out to the band's largest radius, so no query's search is cut
-        short. A pair is kept only within its own query's radius, so the
-        box test sees exactly the pairs of a radius search per query,
-        without a Python list per query, which would be built and
-        flattened holding the interpreter lock. A band finds more pairs
-        than it keeps (1.6-1.9x on 0.85 and 2 mm levels), which makes it
-        slower than a radius search per query only for far-off queries on
-        fine levels. Boxes are tested in blocks of _KERNEL_PAIRS pairs,
-        and the kept pairs of all strata are sorted by query once.
+        The queries, sorted by radius, go into bands: a band holds the
+        queries whose radius is less than _BAND_FACTOR times the band's
+        smallest (every radius is at least eps > 0); a stratum whose
+        triangles are all points (max_radius 0) is one band. Each band
+        makes one dual-tree search, a k-d tree over its points against the
+        stratum's centroid tree, out to the band's largest radius, so no
+        query's search is cut short. A pair is kept only within its own
+        query's radius, so the box test sees exactly the pairs of a radius
+        search per query, without a Python list per query, which would be
+        built and flattened holding the interpreter lock. Boxes are tested
+        in blocks of _KERNEL_PAIRS pairs, and the kept pairs of all strata
+        are sorted by query once.
         """
-        from scipy.spatial import cKDTree
-
         upper = self._upper_bound(pts)
         eps = 1e-9 * (1.0 + upper)
         limit = (upper + eps) ** 2
@@ -632,16 +720,14 @@ class SurfaceIndex:
             radius = upper + stratum["max_radius"] + eps
             order = np.argsort(radius, kind="stable")
             sorted_radius = radius[order]
-            width = stratum["max_radius"] or np.inf  # a stratum of points is one band
+            factor = _BAND_FACTOR if stratum["max_radius"] else np.inf  # a stratum of points is one band
             band_q: list[np.ndarray] = []
             band_t: list[np.ndarray] = []
             start = 0
             while start < len(pts):
-                # max() moves on where width is below the radius's last bit
-                stop = max(start + 1, int(np.searchsorted(
-                    sorted_radius, sorted_radius[start] + width, "left")))
+                stop = int(np.searchsorted(sorted_radius, factor * sorted_radius[start], "left"))
                 band = order[start:stop]
-                found = cKDTree(pts.take(band, axis=0)).sparse_distance_matrix(
+                found = _kd_tree(pts.take(band, axis=0)).sparse_distance_matrix(
                     stratum["tree"], sorted_radius[stop - 1], output_type="ndarray")
                 q = band.take(found["i"])
                 within = found["v"] <= radius.take(q)

@@ -1,9 +1,11 @@
+import functools
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import spinerecon.mesh as mesh_module
 from helpers import (
@@ -617,32 +619,99 @@ def test_banded_candidates_match_ball_search_on_mixed_distances(make, zero_radiu
     assert all(np.ptp(upper) > 3 * r for r in max_radii)  # several bands wide
 
 
+class BandRecordingTree(cKDTree):
+    """A cKDTree that records the size of each band searched against another tree."""
+
+    bands: list = []
+
+    def sparse_distance_matrix(self, other, max_distance, *args, **kwargs):
+        self.bands.append((id(other), self.n))
+        return super().sparse_distance_matrix(other, max_distance, *args, **kwargs)
+
+
+def _big_triangle_and_specks():
+    # the big triangle's radius is far above twice the median, so it forms
+    # a second stratum; the specks lie far from every query below
+    big = [[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 6.0, 0.0]]
+    specks = [[90.0 + k, 0.0, dz] for k in range(3) for dz in (0.0, 0.25, 0.5)]
+    speck_tris = [[3 + i, 4 + i, 5 + i] for i in range(0, 9, 3)]
+    return TriangleMesh(big + specks, [[0, 1, 2], *speck_tris])
+
+
 def test_search_radius_exactly_on_a_band_edge():
-    # queries above the centroid of one triangle; the heights are nudged
-    # until a query's search radius is exactly the first radius plus the
-    # band width, the edge where the next band starts
-    mesh = TriangleMesh([[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 6.0, 0.0]], [[0, 1, 2]])
+    one = TriangleMesh([[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 6.0, 0.0]], [[0, 1, 2]])
+    two = _big_triangle_and_specks()
+    # the edges of the one stratum, of the fine stratum and of the coarse one
+    for mesh, stratum in ((one, 0), (two, 0), (two, 1)):
+        assert_band_edges_split_bands(mesh, stratum)
+
+
+def assert_band_edges_split_bands(mesh, stratum):
+    """Queries whose search radius lies on a band edge, one float below and one above it.
+
+    The queries sit above the centroid of one triangle, so their distance
+    to it is their height; heights are nudged until a query's search
+    radius is exactly _BAND_FACTOR times its band's smallest radius, the
+    edge where the next band starts, or one float either side of it.
+    """
     index = SurfaceIndex(mesh)
-    width = index._strata[0]["max_radius"]
+    assert len(index._strata) == (1 if mesh.n_triangles == 1 else 2)
+    width = index._strata[stratum]["max_radius"]
 
     def radius(height):
         upper = index._upper_bound(np.array([[0.0, 0.0, height]]))[0]
+        assert upper == height
         return upper + width + 1e-9 * (1.0 + upper)
 
-    base = 0.5  # the smallest radius, where the first band starts
-    heights = [base]
-    for _ in range(3):
-        edge = radius(base) + width
-        height = (edge - width - 1e-9) / (1.0 + 1e-9)
+    def height_at(target):
+        height = (target - width - 1e-9) / (1.0 + 1e-9)
         for _ in range(100):
-            if radius(height) == edge:
-                break
-            height = np.nextafter(height, np.inf if radius(height) < edge else -np.inf)
-        assert radius(height) == edge
-        heights += [np.nextafter(height, -np.inf), height, np.nextafter(height, np.inf)]
-        base = height  # the query on the edge starts the next band
+            if radius(height) == target:
+                return height
+            height = np.nextafter(height, np.inf if radius(height) < target else -np.inf)
+        raise AssertionError(f"no height has search radius {target!r}")
+
+    base = 0.5  # the lowest query, whose radius starts the first band
+    heights, bands = [base], [[base]]
+    for _ in range(3):
+        edge = mesh_module._BAND_FACTOR * radius(base)
+        below = height_at(np.nextafter(edge, -np.inf))
+        base = height_at(edge)  # the query on the edge starts the next band
+        above = height_at(np.nextafter(edge, np.inf))
+        heights += [below, base, above]
+        bands[-1].append(below)
+        bands.append([base, above])
     queries = np.array([[x, y, h] for h in heights for x, y in ((0.0, 0.0), (0.5, -0.25))])
-    assert_bands_match_ball_search(mesh, queries)
+    BandRecordingTree.bands = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_kd_tree", lambda points: BandRecordingTree(
+            points, balanced_tree=False, compact_nodes=False))
+        index = assert_bands_match_ball_search(mesh, queries)
+    searched = [n for tree, n in BandRecordingTree.bands if tree == id(index._strata[stratum]["tree"])]
+    # _candidates and query each search the same bands once
+    assert searched == 2 * [2 * len(band) for band in bands]
+
+
+@pytest.mark.parametrize("balanced_tree", [True, False])
+@pytest.mark.parametrize("compact_nodes", [True, False])
+def test_query_bits_do_not_depend_on_the_tree_shape(balanced_tree, compact_nodes):
+    # every k-d tree of the index comes from _kd_tree: the centroid trees
+    # and each band's point tree, so these four options reshape them all
+    rng = np.random.default_rng(17)
+    for mesh in (_vertebra_with_posterior(), uv_sphere(10.0, 12, 16), _points_and_facets()):
+        size = float(np.ptp(mesh.vertices, axis=0).max())
+        queries = np.vstack([
+            mesh.vertices,
+            mesh.vertices + rng.normal(0.0, 0.05 * size, mesh.vertices.shape),
+            rng.uniform(-size, size, (60, 3)),
+        ])
+        want_p, want_d = SurfaceIndex(mesh).query(queries)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mesh_module, "_kd_tree", lambda points: cKDTree(
+                points, balanced_tree=balanced_tree, compact_nodes=compact_nodes))
+            p, d = SurfaceIndex(mesh).query(queries)
+        np.testing.assert_array_equal(_bits(p), _bits(want_p))
+        np.testing.assert_array_equal(_bits(d), _bits(want_d))
 
 
 def assert_direct_search_matches(mesh, queries):
@@ -858,6 +927,109 @@ def test_kernel_matches_take_cascade_bit_for_bit(seed, on_grid):
     pts[200:300] = on_edge[200:300]
     np.testing.assert_array_equal(closest_points_on_triangles(tri, pts),
                                   reference_closest_points_on_triangles(tri, pts))
+
+
+def ericson_regions(tri, pts):
+    """Voronoi region per pair, 0-6 in the kernel's test order, 7 where none holds.
+
+    One if/elif chain per pair: the first test that holds wins by
+    construction, whatever order a vectorized kernel writes its labels in.
+    """
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    ab, ac = b - a, c - a
+    dots = [np.einsum("ij,ij->i", edge, pts - corner)
+            for corner in (a, b, c) for edge in (ab, ac)]
+    regions = []
+    for d1, d2, d3, d4, d5, d6 in zip(*dots):
+        vc, vb, va = d1 * d4 - d3 * d2, d5 * d2 - d1 * d6, d3 * d6 - d5 * d4
+        if d1 <= 0.0 and d2 <= 0.0:
+            regions.append(0)
+        elif d3 >= 0.0 and d4 <= d3:
+            regions.append(1)
+        elif d6 >= 0.0 and d5 <= d6:
+            regions.append(2)
+        elif vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0 and d1 - d3 != 0.0:
+            regions.append(3)
+        elif vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0 and d2 - d6 != 0.0:
+            regions.append(4)
+        elif va <= 0.0 and d4 - d3 >= 0.0 and d5 - d6 >= 0.0 and (d4 - d3) + (d5 - d6) != 0.0:
+            regions.append(5)
+        else:
+            regions.append(6 if va + vb + vc != 0.0 else 7)
+    return np.array(regions, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_pairs():
+    """Pairs of every region, on a grid and off it, and pairs on zero-area triangles.
+
+    Returns (tri, pts, region, degenerate): degenerate marks the pairs whose
+    triangle has collinear or coincident corners.
+    """
+    rng = np.random.default_rng(28)
+    n = 1500
+    tri = rng.uniform(-5.0, 5.0, (n, 3, 3))
+    pts = rng.uniform(-8.0, 8.0, (n, 3))
+    grid = rng.random(n) < 0.3
+    tri[grid] = np.round(tri[grid])
+    pts[grid] = np.round(pts[grid])
+    degenerate = np.zeros(n, dtype=bool)
+    degenerate[:300] = True
+    # collinear corners, two coincident corners, all three on one point
+    tri[:200, 2] = tri[:200, 0] + rng.integers(-2, 3, (200, 1)) * (tri[:200, 1] - tri[:200, 0])
+    tri[200:270, 1] = tri[200:270, 0]
+    tri[270:300, 1:] = tri[270:300, :1]
+    return tri, pts, ericson_regions(tri, pts), degenerate
+
+
+def assert_kernel_matches_reference(tri, pts):
+    got = closest_points_on_triangles(tri, pts)
+    assert got.shape == (len(pts), 3)
+    np.testing.assert_array_equal(_bits(got), _bits(reference_closest_points_on_triangles(tri, pts)))
+
+
+@pytest.mark.parametrize("region", range(7))
+def test_kernel_matches_reference_on_one_region_at_a_time(region):
+    # every pair of the batch falls in one region, so the kernel skips the
+    # other six; the vertex and edge regions also pass the interior's test
+    tri, pts, regions, _ = kernel_pairs()
+    rows = np.flatnonzero(regions == region)
+    assert len(rows) >= 30
+    assert_kernel_matches_reference(tri[rows], pts[rows])
+    for row in rows[:5]:
+        assert_kernel_matches_reference(tri[row:row + 1], pts[row:row + 1])
+
+
+def test_kernel_matches_reference_on_zero_area_triangles_only():
+    tri, pts, regions, degenerate = kernel_pairs()
+    assert len(np.unique(regions[degenerate])) >= 4
+    assert_kernel_matches_reference(tri[degenerate], pts[degenerate])
+
+
+def test_kernel_matches_reference_on_no_pair_and_a_mix():
+    tri, pts, regions, _ = kernel_pairs()
+    assert_kernel_matches_reference(tri[:0], pts[:0])
+    assert set(range(7)) <= set(regions.tolist())
+    order = np.random.default_rng(5).permutation(len(pts))
+    assert_kernel_matches_reference(tri[order], pts[order])
+    # corners held corner-major, as the index holds them, give the same bits
+    assert_kernel_matches_reference(mesh_module._corner_rows(tri[order]), pts[order])
+
+
+_NORM_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150, -1e150]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-320, 149)),
+    st.floats(-10.0, 10.0),  # like magnitudes, where the order of the additions shows
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_NORM_ENTRIES, _NORM_ENTRIES, _NORM_ENTRIES), max_size=40))
+def test_row_norms_match_linalg_norm_bit_for_bit(rows):
+    x = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    np.testing.assert_array_equal(_bits(mesh_module._row_norms(x)),
+                                  _bits(np.linalg.norm(x, axis=1)))
 
 
 def test_face_cross_is_cached_and_read_only():
