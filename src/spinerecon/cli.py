@@ -21,7 +21,7 @@ from .config import build_config
 from .evaluation import evaluate_reconstruction, write_report_csv, write_report_json
 from .facets import align_facets
 from .meshio import load_mesh, save_mesh
-from .registration import MODES, detect_spine_landmarks, register_spine
+from .registration import MODES, IcpParams, detect_spine_landmarks, register_spine
 from .spine import (
     SpineModel,
     Vertebra,
@@ -126,14 +126,12 @@ def cmd_reconstruct(args) -> int:
         orientation_hint=config.orientation_hint,
         cos_threshold=config.cos_threshold,
         use_spine_curve=config.use_spine_curve,
-        icp_params=config.icp_params,
+        icp_params=IcpParams(max_iterations=config.icp_max_iterations),
         seed=config.seed,
     )
     spine, gaps = run.spine, None
     if not args.no_facets:
-        spine, gaps = align_facets(
-            spine, config.facet_target_width,
-            config.facet_falloff_radius, config.facet_max_passes)
+        spine, gaps = align_facets(spine, config.facet_target_width)
 
     os.makedirs(args.out, exist_ok=True)
     fmt = config.mesh_format

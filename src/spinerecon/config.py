@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anatomy import AxesEstimate
-from .registration import MODES, IcpParams
+from .registration import MODES
 from .spine import LEVELS, _read_json, pair_name
 
 _AXIS_VECTORS = {
@@ -27,16 +27,8 @@ DEFAULTS = {
         "use_spine_curve": False,
     },
     "registration": {"mode": "ours", "seed": 0},
-    "icp": {
-        "max_iterations": 50,
-        "convergence_tol_mm": 1e-4,
-        "sample_count": 2000,
-    },
-    "facet": {
-        "target_width_mm": 1.5,  # or a map from each of "L1-L2" .. "L4-L5" to a width
-        "falloff_radius_mm": 5.0,
-        "max_passes": 5,  # sweeps over all facet pairs, until one moves nothing
-    },
+    "icp": {"max_iterations": 50},
+    "facet": {"target_width_mm": 1.5},  # or a map from each of "L1-L2" .. "L4-L5" to a width
     "output": {"format": "ply"},
 }
 
@@ -51,10 +43,8 @@ class PipelineConfig:
     use_spine_curve: bool
     mode: str
     seed: int
-    icp_params: IcpParams
+    icp_max_iterations: int
     facet_target_width: float | dict[str, float]
-    facet_falloff_radius: float
-    facet_max_passes: int
     mesh_format: str
 
 
@@ -132,14 +122,8 @@ def _parse(raw: dict) -> PipelineConfig:
         use_spine_curve=_boolean(anatomy["use_spine_curve"], "anatomy.use_spine_curve"),
         mode=_choice(registration["mode"], "registration.mode", MODES),
         seed=_integer(registration["seed"], "registration.seed", 0),
-        icp_params=IcpParams(
-            max_iterations=_integer(icp["max_iterations"], "icp.max_iterations", 1),
-            convergence_tol=_number(icp["convergence_tol_mm"], "icp.convergence_tol_mm"),
-            sample_count=_integer(icp["sample_count"], "icp.sample_count", 3),
-        ),
+        icp_max_iterations=_integer(icp["max_iterations"], "icp.max_iterations", 1),
         facet_target_width=_target_width(facet["target_width_mm"]),
-        facet_falloff_radius=_number(facet["falloff_radius_mm"], "facet.falloff_radius_mm"),
-        facet_max_passes=_integer(facet["max_passes"], "facet.max_passes", 1),
         mesh_format=_choice(raw["output"]["format"], "output.format", ("ply", "stl", "obj")),
     )
 

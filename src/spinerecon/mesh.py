@@ -504,8 +504,10 @@ def _nearest_per_query(tri: np.ndarray, pts: np.ndarray, qi: np.ndarray, ti: np.
     return out_p, out_d
 
 
-# Query-triangle pairs that _nearest_on_triangles holds at once. A pair
-# costs about 180 bytes at the peak, so one chunk stays near 12 MB.
+# Query-triangle pairs that _nearest_on_triangles holds at once. Each pair
+# of a chunk holds about 19 bytes of indices, and the kernel's blocks of
+# _KERNEL_PAIRS pairs about 370 bytes per pair, so one chunk peaks near
+# 7.5 MB (tracemalloc, 512 points by 512 triangles of a synthetic L3).
 _DIRECT_PAIRS_PER_CHUNK = 1 << 16
 
 
@@ -514,22 +516,17 @@ def _nearest_on_triangles(tri: np.ndarray, points, sizes=None) -> tuple[np.ndarr
 
     sizes, one (point count, triangle count >= 1) per group, splits points
     and triangles into consecutive groups; a point searches only its own
-    group (by default all form one). Each query's upper bound U is its
-    distance to its group's nearest corner, which lies on the surface. A
-    triangle is kept only if its box lies within U + eps (the eps of
-    SurfaceIndex), and the exact kernel runs once per chunk over the kept
-    pairs. The nearest triangle and any tied with it lie within U, so a
-    group's rows are bit for bit those of its own call, of SurfaceIndex
-    and of a brute-force scan. Time grows as the sum of each group's
-    points x triangles; chunks of at most _DIRECT_PAIRS_PER_CHUNK pairs
-    (or one point) bound the memory.
+    group (by default all form one). The exact kernel runs on every pair
+    of a point and a triangle of its group, so a group's rows are bit for
+    bit those of its own call, of SurfaceIndex and of a brute-force scan.
+    Time grows as the sum of each group's points x triangles; chunks of
+    at most _DIRECT_PAIRS_PER_CHUNK pairs (or one point) bound the memory.
     """
     pts = _as_points(points)
     n_pts, n_tri = np.reshape(sizes if sizes is not None else (len(pts), len(tri)), (-1, 2)).T
     first = np.cumsum(n_tri) - n_tri  # first triangle of each group
-    lo, hi, reach = _triangle_boxes(tri, first)
     group = np.repeat(np.arange(len(n_pts)), n_pts)
-    _check_reach(pts, tri[first, 0].take(group, axis=0), reach.take(group))
+    _check_reach(pts, tri[first, 0].take(group, axis=0), _triangle_boxes(tri, first)[2].take(group))
     first = first.take(group)  # now per point
     count = n_tri.take(group)
     ends = np.cumsum(count)  # pairs of point k end at ends[k]
@@ -540,24 +537,10 @@ def _nearest_on_triangles(tri: np.ndarray, points, sizes=None) -> tuple[np.ndarr
     while start < len(pts):
         stop = max(start + 1, int(np.searchsorted(
             ends, ends[start] - count[start] + _DIRECT_PAIRS_PER_CHUNK, "right")))
-        chunk = pts[start:stop]
         per = count[start:stop]
-        starts = np.cumsum(per) - per  # first pair of each point of the chunk
         qi = np.repeat(np.arange(stop - start), per)
-        ti = np.arange(len(qi)) + np.repeat(first[start:stop] - starts, per)
-        p = chunk.take(qi, axis=0)
-        offset = tri.take(ti, axis=0)
-        np.subtract(p[:, None, :], offset, out=offset)
-        # a point's pairs are consecutive: one reduceat takes the least over their corners
-        upper = np.sqrt(np.minimum.reduceat(
-            np.einsum("pkj,pkj->pk", offset, offset).ravel(), 3 * starts))
-        del offset
-        eps = 1e-9 * (1.0 + upper)
-        # per-axis gap from each point to each triangle's box, 0 inside it
-        gap = np.maximum(lo.take(ti, axis=0) - p, p - hi.take(ti, axis=0))
-        np.maximum(gap, 0.0, out=gap)
-        keep = np.flatnonzero(np.einsum("pj,pj->p", gap, gap) <= ((upper + eps) ** 2).take(qi))
-        out_p[start:stop], out_d[start:stop] = _nearest_per_query(corners, chunk, qi[keep], ti[keep])
+        ti = np.arange(len(qi)) + np.repeat(first[start:stop] - (np.cumsum(per) - per), per)
+        out_p[start:stop], out_d[start:stop] = _nearest_per_query(corners, pts[start:stop], qi, ti)
         start = stop
     return out_p, out_d
 

@@ -277,3 +277,33 @@ def mixed_meshes(draw):
         tris.append(np.array([i, j, new]))
     verts = np.vstack([verts, *extra]) if extra else verts
     return TriangleMesh(verts, np.array(tris)), rng
+
+
+@st.composite
+def triangle_groups(draw):
+    """1-8 groups: (corners, queries) each, of different sizes, some of one or only zero-area triangles.
+
+    Queries lie on corners (exact ties where corners are shared), inside
+    the +-12 box and 10 or 1,000 times the group's size away.
+    """
+    groups = []
+    for _ in range(draw(st.integers(1, 8))):
+        mesh, rng = draw(mixed_meshes())
+        tri = mesh.triangle_points()
+        shape = draw(st.sampled_from(["whole", "one", "slivers"]))
+        if shape == "one":
+            tri = tri[rng.integers(0, len(tri)):][:1]
+        elif shape == "slivers":
+            # coincident and collinear corners: every triangle has zero area
+            tri = tri.copy()
+            tri[::2, 2] = tri[::2, 0]
+            tri[1::2, 2] = 0.5 * (tri[1::2, 0] + tri[1::2, 1])
+        corners = tri.reshape(-1, 3)
+        size = float(np.ptp(corners, axis=0).max()) or 1.0
+        far = rng.normal(size=(3, 3))
+        far *= draw(st.sampled_from([10.0, 1e3])) * size / np.linalg.norm(far, axis=1, keepdims=True)
+        queries = np.vstack([corners[:draw(st.integers(0, 12))],
+                             rng.uniform(-12.0, 12.0, (draw(st.integers(0, 12)), 3)),
+                             corners.mean(axis=0) + far[:draw(st.integers(0, 3))]])
+        groups.append((tri, queries))
+    return groups

@@ -368,13 +368,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("override, key", [
         # values a coercing reader let through: "False" and "no" turned the
-        # curve on, fractions were truncated, true counted as one pass
+        # curve on, fractions were truncated
         ("anatomy.use_spine_curve=False", "anatomy.use_spine_curve"),
         ("anatomy.use_spine_curve=no", "anatomy.use_spine_curve"),
         ("icp.max_iterations=2.5", "icp.max_iterations"),
-        ("icp.sample_count=2000.9", "icp.sample_count"),
         ("registration.seed=1.7", "registration.seed"),
-        ("facet.max_passes=true", "facet.max_passes"),
         ('facet.target_width_mm={"L1-L2":1,"L1_L3":1,"L3-L4":1,"L4-L5":1}',
          "facet.target_width_mm"),
         # values that failed with a message naming no key
@@ -391,19 +389,21 @@ class TestConfig:
         ("registration.mode=fast", "registration.mode"),
         ("registration.seed=-1", "registration.seed"),
         ("icp.max_iterations=0", "icp.max_iterations"),
-        ("icp.convergence_tol_mm=0", "icp.convergence_tol_mm"),
-        ("icp.sample_count=2", "icp.sample_count"),
-        # removed keys are unknown
-        ("anatomy.slab_half_width_mm=0", "anatomy.slab_half_width_mm"),
-        ("icp.outlier_trim_fraction=1.0", "icp.outlier_trim_fraction"),
-        ("icp.outlier_trim_fraction=true", "icp.outlier_trim_fraction"),
         ("facet.target_width_mm=0", "facet.target_width_mm"),
         ("facet.target_width_mm=Infinity", "facet.target_width_mm"),
         ('facet.target_width_mm={"L1-L2":-1,"L2-L3":1,"L3-L4":1,"L4-L5":1}',
          "facet.target_width_mm.L1-L2"),
+        ("output.format=vtk", "output.format"),
+        # removed keys are unknown, whatever their value, as are keys never known
+        ("anatomy.slab_half_width_mm=0", "anatomy.slab_half_width_mm"),
+        ("icp.outlier_trim_fraction=1.0", "icp.outlier_trim_fraction"),
+        ("icp.outlier_trim_fraction=true", "icp.outlier_trim_fraction"),
+        ("icp.convergence_tol_mm=0", "icp.convergence_tol_mm"),
+        ("icp.sample_count=2", "icp.sample_count"),
+        ("icp.sample_count=2000.9", "icp.sample_count"),
         ("facet.falloff_radius_mm=-5", "facet.falloff_radius_mm"),
         ("facet.max_passes=0", "facet.max_passes"),
-        ("output.format=vtk", "output.format"),
+        ("facet.max_passes=true", "facet.max_passes"),
         ("nope.x=1", "nope"),
     ])
     def test_rejection_names_key(self, override, key, capsys):
@@ -425,6 +425,26 @@ class TestConfig:
         assert main(["config", "--config", str(path)]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given", ["set", "file"])
+    @pytest.mark.parametrize("key, value", [
+        ("icp.convergence_tol_mm", 1e-4), ("icp.sample_count", 2000),
+        ("facet.falloff_radius_mm", 5.0), ("facet.max_passes", 5),
+    ])
+    def test_removed_key_stops_reconstruct(self, key, value, given, synth_dir, tmp_path, capsys):
+        # these are the library's defaults now: even the value every caller used is refused
+        out = tmp_path / "out"
+        if given == "set":
+            flags = ["--set", f"{key}={value}"]
+        else:
+            section, name = key.split(".")
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({section: {name: value}}))
+            flags = ["--config", str(path)]
+        assert main(["reconstruct", "--atlas", synth_dir, "--targets", synth_dir,
+                     "--out", str(out), *flags]) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_file_names_path_and_position(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text('{\n  "anatomy": {cos_threshold: 0.7}\n}\n')
@@ -439,7 +459,7 @@ class TestConfig:
             "lateral": "+x", "anterior": "+y", "longitudinal": "+z"}
 
     def test_dump_round_trips_through_config_file(self, tmp_path, capsys):
-        overrides = ["anatomy.use_spine_curve=true", "registration.mode=icp_vb", "icp.sample_count=500",
+        overrides = ["anatomy.use_spine_curve=true", "registration.mode=icp_vb", "icp.max_iterations=7",
                      'facet.target_width_mm={"L1-L2":2,"L2-L3":1.5,"L3-L4":1.5,"L4-L5":1}',
                      'axes={"lateral":"-x","anterior":"-y","longitudinal":"+z"}']
         assert main(["config", "--dump", *(a for o in overrides for a in ("--set", o))]) == 0
@@ -456,6 +476,7 @@ class TestConfig:
             else:
                 assert a == b, field.name
         assert want.use_spine_curve is True and want.facet_target_width["L4-L5"] == 1.0
+        assert want.icp_max_iterations == 7
 
 
 @pytest.mark.parametrize("command", ["landmarks", "reconstruct", "evaluate"])

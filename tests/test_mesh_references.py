@@ -3,7 +3,8 @@
 Each reference below is the earlier form of a library function (np.unique,
 lexsort, mean(axis=1), np.add.at, column min/max, np.setdiff1d, a k-d tree,
 a per-call triangle scan, a SurfaceIndex per facet, scipy's csgraph, a
-facet sweep that searches and warps one level pair at a time). The
+facet sweep that searches and warps one level pair at a time, a direct
+search that pruned triangles by box before the kernel). The
 library must match it bit for bit, on meshes with unreferenced vertices,
 zero-area triangles and edges shared by three or more triangles.
 """
@@ -21,7 +22,7 @@ from scipy.sparse.csgraph import connected_components as csgraph_components
 import spinerecon as sr
 import spinerecon.facets as facets_module
 import spinerecon.mesh as mesh_module
-from helpers import ellipse_disk, fsu_with_gap, readme_case, sheet_mesh
+from helpers import ellipse_disk, fsu_with_gap, readme_case, sheet_mesh, triangle_groups
 from spinerecon.anatomy import PATIENT_AXES, _BRIDGE_HOPS, estimate_axes, extract_endplates
 from spinerecon.facets import GapReport, elastic_warp, measure_gap
 from spinerecon.mesh import (
@@ -535,3 +536,62 @@ def test_measure_gap_matches_reference_on_sheet_facets(nx, ny, chunk_pairs, monk
     got = measure_gap(pair, upper, lower)
     assert got.min_gap < 0.0 < got.max_gap  # the tilt takes part of the patch through the other
     assert got == reference_measure_gap(pair, upper, lower)
+
+
+def reference_nearest_on_triangles(tri, points, sizes=None):
+    """The direct search that pruned before the kernel.
+
+    Each query's upper bound U is its distance to its group's nearest
+    corner; a triangle reaches the kernel only if its box lies within
+    U + eps of the query.
+    """
+    pts = mesh_module._as_points(points)
+    n_pts, n_tri = np.reshape(sizes if sizes is not None else (len(pts), len(tri)), (-1, 2)).T
+    first = np.cumsum(n_tri) - n_tri
+    lo, hi, reach = mesh_module._triangle_boxes(tri, first)
+    group = np.repeat(np.arange(len(n_pts)), n_pts)
+    mesh_module._check_reach(pts, tri[first, 0].take(group, axis=0), reach.take(group))
+    first = first.take(group)
+    count = n_tri.take(group)
+    ends = np.cumsum(count)
+    corners = mesh_module._corner_rows(tri)
+    out_p = np.empty_like(pts)
+    out_d = np.empty(len(pts))
+    start = 0
+    while start < len(pts):
+        stop = max(start + 1, int(np.searchsorted(
+            ends, ends[start] - count[start] + mesh_module._DIRECT_PAIRS_PER_CHUNK, "right")))
+        chunk = pts[start:stop]
+        per = count[start:stop]
+        starts = np.cumsum(per) - per
+        qi = np.repeat(np.arange(stop - start), per)
+        ti = np.arange(len(qi)) + np.repeat(first[start:stop] - starts, per)
+        p = chunk.take(qi, axis=0)
+        offset = tri.take(ti, axis=0)
+        np.subtract(p[:, None, :], offset, out=offset)
+        upper = np.sqrt(np.minimum.reduceat(
+            np.einsum("pkj,pkj->pk", offset, offset).ravel(), 3 * starts))
+        eps = 1e-9 * (1.0 + upper)
+        gap = np.maximum(lo.take(ti, axis=0) - p, p - hi.take(ti, axis=0))
+        np.maximum(gap, 0.0, out=gap)
+        keep = np.flatnonzero(np.einsum("pj,pj->p", gap, gap) <= ((upper + eps) ** 2).take(qi))
+        out_p[start:stop], out_d[start:stop] = mesh_module._nearest_per_query(
+            corners, chunk, qi[keep], ti[keep])
+        start = stop
+    return out_p, out_d
+
+
+@pytest.mark.parametrize("chunk_pairs", [1, 500, mesh_module._DIRECT_PAIRS_PER_CHUNK])
+@settings(max_examples=100, deadline=None)
+@given(triangle_groups())
+def test_direct_search_matches_pruned_reference(chunk_pairs, groups):
+    # ties on shared corners, zero-area slivers, points 10 and 1,000 times a group's size away
+    tri = np.concatenate([t for t, _ in groups])
+    queries = np.concatenate([q for _, q in groups])
+    sizes = [(len(q), len(t)) for t, q in groups]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_DIRECT_PAIRS_PER_CHUNK", chunk_pairs)
+        got = mesh_module._nearest_on_triangles(tri, queries, sizes)
+        want = reference_nearest_on_triangles(tri, queries, sizes)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(_bits(a), _bits(b))

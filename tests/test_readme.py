@@ -39,7 +39,7 @@ def test_cli_block_runs(tmp_path):
         f"landmarks_L{i}.json" for i in range(1, 6)]
     report = json.loads((tmp_path / "data" / "eval" / "report.json").read_text())
     assert report["p2m_vb_mean_mm"] < 1e-9 and report["landmark_mae_mean_mm"] < 1e-9
-    assert json.loads(proc.stdout[proc.stdout.index("{"):])["facet"]["max_passes"] == 5
+    assert json.loads(proc.stdout[proc.stdout.index("{"):])["icp"]["max_iterations"] == 50
 
 
 def test_documented_config_keys_are_the_settable_ones():
