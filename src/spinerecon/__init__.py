@@ -46,7 +46,6 @@ from .mesh import (
     TriangleMesh,
     center_of_mass,
     face_normals,
-    principal_axes,
     submesh_by_label,
     transform_mesh,
 )

@@ -93,14 +93,10 @@ def _load_spine_dir(directory: str) -> SpineModel:
 def cmd_landmarks(args) -> int:
     config = build_config(args.config, args.set)
     pairs = _collect_meshes(args.meshes, args.levels)
-    if len(pairs) == 1 and config.use_spine_curve:
-        print("warning: single vertebra; axes fall back to the principal axes "
-              "and orientation hint (reduced accuracy)", file=sys.stderr)
     detected = detect_spine_landmarks(
         _load_spine(pairs),
         orientation_hint=config.orientation_hint,
         cos_threshold=config.cos_threshold,
-        use_spine_curve=config.use_spine_curve,
     )
     os.makedirs(args.out, exist_ok=True)
     for (level, _), landmarks in zip(pairs, detected):
@@ -125,7 +121,6 @@ def cmd_reconstruct(args) -> int:
         atlas, targets, config.mode,
         orientation_hint=config.orientation_hint,
         cos_threshold=config.cos_threshold,
-        use_spine_curve=config.use_spine_curve,
         icp_params=IcpParams(max_iterations=config.icp_max_iterations),
         seed=config.seed,
     )

@@ -22,10 +22,7 @@ _PAIR_NAMES = tuple(pair_name(upper, lower) for upper, lower in zip(LEVELS, LEVE
 
 DEFAULTS = {
     "axes": {"lateral": "+x", "anterior": "+y", "longitudinal": "+z"},
-    "anatomy": {
-        "cos_threshold": 0.8,
-        "use_spine_curve": False,
-    },
+    "anatomy": {"cos_threshold": 0.8},
     "registration": {"mode": "ours", "seed": 0},
     "icp": {"max_iterations": 50},
     "facet": {"target_width_mm": 1.5},  # or a map from each of "L1-L2" .. "L4-L5" to a width
@@ -40,7 +37,6 @@ class PipelineConfig:
     raw: dict
     orientation_hint: AxesEstimate
     cos_threshold: float
-    use_spine_curve: bool
     mode: str
     seed: int
     icp_max_iterations: int
@@ -62,12 +58,6 @@ def _merge(base: dict, override: dict, path="") -> dict:
 
 def _reject(key: str, requirement: str, value) -> ValueError:
     return ValueError(f"{key} must be {requirement}, got {json.dumps(value)}")
-
-
-def _boolean(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise _reject(key, "true or false", value)
-    return value
 
 
 def _integer(value, key: str, minimum: int) -> int:
@@ -119,7 +109,6 @@ def _parse(raw: dict) -> PipelineConfig:
         orientation_hint=_orientation_hint(raw["axes"]),
         cos_threshold=_number(anatomy["cos_threshold"], "anatomy.cos_threshold",
                               "a number in (0, 1)", lambda v: 0 < v < 1),
-        use_spine_curve=_boolean(anatomy["use_spine_curve"], "anatomy.use_spine_curve"),
         mode=_choice(registration["mode"], "registration.mode", MODES),
         seed=_integer(registration["seed"], "registration.seed", 0),
         icp_max_iterations=_integer(icp["max_iterations"], "icp.max_iterations", 1),

@@ -23,14 +23,12 @@ from .anatomy import (
     VertebraFrame,
     compute_frame,
     detect_vertebra_landmarks,
-    spine_curve_tangents,
 )
 from .mesh import (
     LABEL_VERTEBRAL_BODY,
     SurfaceIndex,
     TriangleMesh,
     apply_transform,
-    center_of_mass,
     submesh_by_label,
     transform_mesh,
     validate_transform,
@@ -179,68 +177,73 @@ def detection_mesh(vertebra: Vertebra) -> TriangleMesh:
     return submesh_by_label(mesh, LABEL_VERTEBRAL_BODY)
 
 
-# Detection of a level runs many small numpy calls, so two threads contend
-# for the interpreter lock: on the level pool, 10 detections took 1.06x the
-# serial time at 6.7k body triangles per level and 0.79x at 9.5k (ROADMAP
-# item 8). Smaller levels are detected in a plain loop.
+# Detection maps a spine's middle level, then its two walks outward (two and
+# four jobs for an atlas and a target spine, two for one spine), and threads
+# contend for the interpreter lock over many small numpy calls. Pool time over
+# plain-loop time, per-run medians of 12 alternating runs of 5-level spines,
+# two spines / one spine (2-vCPU VM): 2.18 / 2.05 at 1.4k body triangles per
+# level, 1.41 / 1.46 at 3.4k, 1.12 / 1.17 at 5.6k, 0.99-1.14 / 0.97-1.02 at
+# 7.6k, 0.84-0.91 / 0.96-1.07 at 9.0k, 0.80 / 0.92 at 10.6k and 0.70 / 0.82
+# at 18k. Smaller levels are detected in a plain loop.
 _POOL_MIN_TRIANGLES = 8000
 
 
 def _detect_landmarks(spines: list[SpineModel], *, orientation_hint: AxesEstimate,
-                      cos_threshold: float, use_spine_curve: bool) -> list[list[LandmarkSet]]:
+                      cos_threshold: float) -> list[list[LandmarkSet]]:
     """Eight landmarks per level, in level order, for each spine.
 
-    Every level without landmarks is one job, in spine order and then
-    level order. The jobs run on `spine.map_levels` when the smallest of
-    their meshes has `_POOL_MIN_TRIANGLES` or more, otherwise in a plain
-    loop; either way the lowest failing job's error is raised.
+    Each spine's middle level is detected first, seeded with the
+    orientation hint. Then two walks leave it, one up to the first
+    level and one down to the last, each level seeded with the axes
+    detected on its inner neighbour. A level that carries landmarks
+    keeps them and passes on the seed it was given. The middle levels
+    are one map and the walks a second; each runs on `spine.map_levels`
+    when it has two jobs or more and the smallest mesh to detect has
+    `_POOL_MIN_TRIANGLES` or more, otherwise in a plain loop. Either way
+    a walk stops at its first failing level, and the first failing job's
+    error is raised: middle levels before walks, then spine order, the
+    walk up before the walk down.
     """
     results = [[v.landmarks for v in spine.vertebrae] for spine in spines]
-    jobs = []  # (spine index, level index, detection mesh or None, curve tangent)
-    for s, spine in enumerate(spines):
-        todo = [i for i, v in enumerate(spine.vertebrae) if v.landmarks is None]
-        if not todo:
-            continue
-        meshes, tangents = [None] * len(spine), [None] * len(spine)
-        if use_spine_curve and len(spine) >= 2:
-            # the curve runs through every level's body, detected or not
-            meshes = [detection_mesh(v) for v in spine.vertebrae]
-            tangents = list(spine_curve_tangents([center_of_mass(m) for m in meshes]))
-        jobs += [(s, i, meshes[i], tangents[i]) for i in todo]
+    todo = [s for s, spine in enumerate(spines) if any(v.landmarks is None for v in spine.vertebrae)]
+    sizes = [v.mesh.n_triangles for s in todo for v in spines[s].vertebrae if v.landmarks is None]
 
-    def detect(j: int) -> LandmarkSet:
-        s, i, mesh, tangent = jobs[j]
-        vertebra = spines[s][i]
-        if mesh is None:
-            mesh = detection_mesh(vertebra)
-        try:
-            return detect_vertebra_landmarks(
-                mesh, curve_tangent=tangent, orientation_hint=orientation_hint,
-                cos_threshold=cos_threshold)
-        except Exception as e:
-            raise RuntimeError(f"{vertebra.level}: landmark detection failed: {e}") from e
+    def walk(s: int, levels, seed: AxesEstimate, source: str) -> tuple[AxesEstimate, str]:
+        for i in levels:
+            vertebra = spines[s][i]
+            if vertebra.landmarks is None:
+                try:
+                    results[s][i], seed = detect_vertebra_landmarks(
+                        detection_mesh(vertebra), orientation_hint=seed,
+                        cos_threshold=cos_threshold)
+                except Exception as e:
+                    raise RuntimeError(f"{vertebra.level}: landmark detection with axes "
+                                       f"seeded from {source} failed: {e}") from e
+                source = f"neighbour {vertebra.level}"
+        return seed, source
 
-    if jobs and min(spines[s][i].mesh.n_triangles for s, i, _, _ in jobs) >= _POOL_MIN_TRIANGLES:
-        detected = map_levels(detect, len(jobs))
-    else:
-        detected = [detect(j) for j in range(len(jobs))]
-    for (s, i, _, _), landmarks in zip(jobs, detected):
-        results[s][i] = landmarks
+    def run(jobs: list) -> list:
+        if len(jobs) > 1 and min(sizes) >= _POOL_MIN_TRIANGLES:
+            return map_levels(lambda k: walk(*jobs[k]), len(jobs))
+        return [walk(*job) for job in jobs]
+
+    middles = [(len(spines[s]) - 1) // 2 for s in todo]
+    seeds = run([(s, [m], orientation_hint, "the orientation hint") for s, m in zip(todo, middles)])
+    run([(s, levels, *seed) for s, m, seed in zip(todo, middles, seeds)
+         for levels in (range(m - 1, -1, -1), range(m + 1, len(spines[s]))) if levels])
     return results
 
 
 def detect_spine_landmarks(spine: SpineModel, *, orientation_hint: AxesEstimate,
-                           cos_threshold: float, use_spine_curve: bool) -> list[LandmarkSet]:
+                           cos_threshold: float) -> list[LandmarkSet]:
     """Eight landmarks per level, in level order.
 
-    A vertebra that already carries landmarks keeps them. With
-    use_spine_curve and two levels or more, each level's axes are
-    refined by the tangent of a spline through the body centers. Levels
-    of 8,000 triangles or more are detected on `spine.map_levels`; the
-    landmarks and the error raised are those of a serial loop.
+    A vertebra that already carries landmarks keeps them. The middle
+    level's axes are seeded with the orientation hint and every other
+    level's with its neighbour's, from the middle outward.
     """
     return _detect_landmarks([spine], orientation_hint=orientation_hint,
-                             cos_threshold=cos_threshold, use_spine_curve=use_spine_curve)[0]
+                             cos_threshold=cos_threshold)[0]
 
 
 def _sample_rows(points: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -253,7 +256,6 @@ def _sample_rows(points: np.ndarray, count: int, rng: np.random.Generator) -> np
 def register_spine(atlas: SpineModel, targets: SpineModel, mode: str = "ours", *,
                    orientation_hint: AxesEstimate = PATIENT_AXES,
                    cos_threshold: float = 0.8,
-                   use_spine_curve: bool = False,
                    icp_params: IcpParams | None = None,
                    seed: int = 0) -> RegistrationRun:
     """Register complete atlas vertebrae onto vertebral-body targets.
@@ -267,12 +269,14 @@ def register_spine(atlas: SpineModel, targets: SpineModel, mode: str = "ours", *
                 full atlas mesh
 
     Landmark detection of the atlas and, for `ours` and `ours_icp`, the
-    targets is one map over their levels; levels of 8,000 triangles or
-    more run on `spine.map_levels`, on one thread per usable CPU at most.
-    The ICP modes register the levels on it too. Every level's ICP
-    sample is drawn first, in level order, so the result does not
-    depend on the worker count; when several levels fail, the first in
-    level order is reported, atlas detection before target detection.
+    targets maps the spines' middle levels, then their walks outward
+    (`_detect_landmarks`); levels of 8,000 triangles or more run on
+    `spine.map_levels`, on one thread per usable CPU at most. The ICP
+    modes register the levels on it too. Every level's ICP sample is
+    drawn first, in level order, so the result does not depend on the
+    worker count; when several levels fail, the first in level order is
+    reported, except that detection reports in its own order, atlas
+    detection before target detection.
     `ours` computes its transforms serially. The elapsed time is wall
     time; it covers landmark detection, transform computation, and mesh
     application; no file I/O happens here.
@@ -287,8 +291,7 @@ def register_spine(atlas: SpineModel, targets: SpineModel, mode: str = "ours", *
     rng = np.random.default_rng(seed)
 
     t0 = time.perf_counter()
-    detection = dict(orientation_hint=orientation_hint, cos_threshold=cos_threshold,
-                     use_spine_curve=use_spine_curve)
+    detection = dict(orientation_hint=orientation_hint, cos_threshold=cos_threshold)
     if mode in ("ours", "ours_icp"):
         source_landmarks, target_landmarks = _detect_landmarks([atlas, targets], **detection)
     else:

@@ -64,8 +64,8 @@ def random_rigid(rng, max_angle_deg=180.0, max_translation=100.0) -> np.ndarray:
 def box_mesh(width, depth, height, center=(0.0, 0.0, 0.0)) -> TriangleMesh:
     """Box surface with a center vertex per face (4 triangles per face).
 
-    The symmetric tessellation keeps the vertex covariance exactly
-    diagonal, so principal axes are the world axes.
+    The symmetric tessellation makes each face's triangles symmetric
+    about the face's centre, so its area-weighted centroid is that centre.
     """
     hx, hy, hz = width / 2.0, depth / 2.0, height / 2.0
     c = np.asarray(center, dtype=np.float64)

@@ -135,7 +135,7 @@ def test_criterion_5_morphometric_round_trip():
         spine, record = generate_spine(params)
         detected = []
         for v in spine.vertebrae:
-            detected.append(detect_vertebra_landmarks(submesh_by_label(v.mesh, 1)))
+            detected.append(detect_vertebra_landmarks(submesh_by_label(v.mesh, 1))[0])
         measured = measure_morphometrics(spine.levels, detected)
         for pair in record.ivd_height:
             worst_angle = max(worst_angle,
@@ -232,7 +232,7 @@ def test_criterion_9_equivariance_suite():
     for _ in range(50):
         T = random_rigid(rng, max_angle_deg=180.0, max_translation=100.0)
         hint = PATIENT_AXES.rotated(T[:3, :3])
-        lms = detect_vertebra_landmarks(transform_mesh(mesh, T), orientation_hint=hint)
+        lms, _ = detect_vertebra_landmarks(transform_mesh(mesh, T), orientation_hint=hint)
         err = np.linalg.norm(lms.points() - truth.transformed(T).points(), axis=1).max()
         assert err <= 1.5 * edge
         moved = measure_morphometrics(spine.levels, [s.transformed(T) for s in sets])

@@ -13,64 +13,46 @@ from spinerecon.anatomy import (
     detect_vertebra_landmarks,
     estimate_axes,
     extract_endplates,
-    spine_curve_tangents,
 )
 from spinerecon.mesh import TriangleMesh, transform_mesh
 from spinerecon.synthetic import default_vertebra_params, generate_vertebra
 
 
-class TestSpineCurve:
-    def test_collinear_points_give_axial_tangents(self):
-        pts = np.column_stack([np.zeros(5), np.zeros(5), np.linspace(0, 160, 5)])
-        tangents = spine_curve_tangents(pts)
-        for t in tangents:
-            np.testing.assert_allclose(np.abs(t), [0, 0, 1], atol=1e-9)
-
-    def test_circle_arc_tangents_orthogonal_to_radius(self):
-        r = 100.0
-        angles = np.radians(np.arange(0, 91, 5))
-        pts = np.column_stack([np.zeros_like(angles), r * np.cos(angles), r * np.sin(angles)])
-        tangents = spine_curve_tangents(pts)
-        for point, tangent in zip(pts, tangents):
-            dev = np.degrees(np.arcsin(np.clip(abs(tangent @ (point / r)), -1, 1)))
-            assert dev < 2.0
-
-    def test_single_point_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            spine_curve_tangents([[0, 0, 0]])
-
-    def test_duplicate_consecutive_rejected(self):
-        with pytest.raises(ValueError, match="coincident"):
-            spine_curve_tangents([[0, 0, 0], [0, 0, 0], [0, 0, 10]])
+def plate_axes(mesh, hint=PATIENT_AXES):
+    return estimate_axes(*extract_endplates(mesh, hint), hint)
 
 
 class TestEstimateAxes:
     def test_axis_aligned_body_recovers_world_axes(self):
         mesh, _, _ = generate_vertebra(
             default_vertebra_params("L3", with_posterior=False))
-        axes = estimate_axes(mesh)
+        axes = plate_axes(mesh)
         np.testing.assert_allclose(axes.lateral, [1, 0, 0], atol=1e-9)
         np.testing.assert_allclose(axes.anterior, [0, 1, 0], atol=1e-9)
         np.testing.assert_allclose(axes.longitudinal, [0, 0, 1], atol=1e-9)
 
-    def test_rotated_body_with_curve_tangent(self):
+    def test_wedged_plates_give_the_body_axis(self):
+        # each plate is tilted 6 degrees about the lateral axis, in opposite senses
         mesh, _, _ = generate_vertebra(
-            default_vertebra_params("L3", with_posterior=False))
-        rot = Rotation.from_rotvec(np.radians(15) * np.array([1.0, 0, 0])).as_matrix()
-        T = np.eye(4)
-        T[:3, :3] = rot
-        axes = estimate_axes(transform_mesh(mesh, T), curve_tangent=rot[:, 2])
-        angle = np.degrees(np.arccos(np.clip(axes.longitudinal @ rot[:, 2], -1, 1)))
-        assert angle < 1.0
+            default_vertebra_params("L3", endplate_tilt_deg=12.0, with_posterior=False))
+        superior, inferior = extract_endplates(mesh, PATIENT_AXES)
+        tilt = np.degrees(np.arccos(superior._face_cross.sum(axis=0)[2]
+                                    / np.linalg.norm(superior._face_cross.sum(axis=0))))
+        assert tilt == pytest.approx(6.0)
+        axes = estimate_axes(superior, inferior, PATIENT_AXES)
+        np.testing.assert_allclose(axes.as_matrix(), np.eye(3), atol=1e-9)
 
     def test_wrong_hint_still_orthonormal_right_handed(self):
-        # a box whose long axis is orthogonal to the hint longitudinal
+        # plates 60 x 10 mm; the hint's anterior is the plates' long axis
         mesh = box_mesh(60, 10, 8)
-        axes = estimate_axes(mesh, orientation_hint=PATIENT_AXES)
+        hint = AxesEstimate(lateral=[0, -1, 0], anterior=[1, 0, 0], longitudinal=[0, 0, 1])
+        axes = estimate_axes(*extract_endplates(mesh, hint), hint)
         m = axes.as_matrix()
         np.testing.assert_allclose(m.T @ m, np.eye(3), atol=1e-9)
         np.testing.assert_allclose(np.cross(axes.lateral, axes.anterior),
                                    axes.longitudinal, atol=1e-9)
+        # the hint decides the anterior's sign only, not which plate direction it is
+        np.testing.assert_allclose(np.abs(axes.anterior), [0, 1, 0], atol=1e-9)
 
     def test_rotated_hint_rotates_axes(self):
         mesh, _, _ = generate_vertebra(
@@ -80,8 +62,8 @@ class TestEstimateAxes:
         T = np.eye(4)
         T[:3, :3] = rot
         hint = PATIENT_AXES.rotated(rot)
-        axes = estimate_axes(transform_mesh(mesh, T), orientation_hint=hint)
-        np.testing.assert_allclose(axes.longitudinal, rot[:, 2], atol=1e-9)
+        axes = plate_axes(transform_mesh(mesh, T), hint)
+        np.testing.assert_allclose(axes.as_matrix(), rot, atol=1e-9)
 
 
 class TestExtractEndplates:
@@ -179,8 +161,7 @@ class TestDetectLandmarks:
         for level in ("L1", "L3", "L5"):
             mesh, _, _ = generate_vertebra(
                 default_vertebra_params(level, with_posterior=False))
-            axes = estimate_axes(mesh)
-            lms = detect_vertebra_landmarks(mesh)
+            lms, axes = detect_vertebra_landmarks(mesh)
             gap = (lms.superior_points().mean(axis=0)
                    - lms.inferior_points().mean(axis=0)) @ axes.longitudinal
             assert gap > 0
@@ -189,9 +170,32 @@ class TestDetectLandmarks:
         for edge in (1.5, 3.0):
             mesh, truth, _ = generate_vertebra(
                 default_vertebra_params("L3", tessellation_edge=edge, with_posterior=False))
-            lms = detect_vertebra_landmarks(mesh)
+            lms, _ = detect_vertebra_landmarks(mesh)
             err = np.linalg.norm(lms.points() - truth.points(), axis=1).max()
             assert err <= 1e-9
+
+
+    def test_axis_passes_stop_when_the_candidate_triangles_settle(self, monkeypatch):
+        import spinerecon.anatomy as anatomy
+
+        passes = []
+        extract = anatomy.extract_endplates
+        monkeypatch.setattr(anatomy, "extract_endplates",
+                            lambda *args: passes.append(args[1]) or extract(*args))
+        mesh, truth, _ = generate_vertebra(
+            default_vertebra_params("L3", tessellation_edge=3.0, with_posterior=False))
+        T = np.eye(4)
+        T[:3, :3] = Rotation.from_rotvec([np.radians(20.0), 0.0, 0.0]).as_matrix()
+        # clean: the plates 20 degrees off the seed are whole, so one pass settles
+        lms, axes = detect_vertebra_landmarks(transform_mesh(mesh, T))
+        assert len(passes) == 1 and passes[0] is PATIENT_AXES
+        np.testing.assert_allclose(lms.points(), truth.transformed(T).points(), atol=1e-9)
+        # noisy: triangles near the threshold change sides, so a second pass runs
+        passes.clear()
+        noise = np.random.default_rng(3).normal(0.0, 0.3, mesh.vertices.shape)
+        detect_vertebra_landmarks(transform_mesh(TriangleMesh(mesh.vertices + noise,
+                                                              mesh.triangles), T))
+        assert len(passes) == anatomy._AXIS_PASSES == 2
 
 
 class TestLandmarkSet:
@@ -228,16 +232,32 @@ def test_axes_not_right_handed_rejected():
         AxesEstimate(lateral=[1, 0, 0], anterior=[0, 1, 0], longitudinal=[0, 0, -1])
 
 
-def test_estimate_axes_always_orthonormal_on_random_soups():
-    from spinerecon.mesh import TriangleMesh
+def test_estimate_axes_orthonormal_or_a_named_error_on_random_soups():
     rng = np.random.default_rng(33)
+    outcomes = []
     for _ in range(25):
         verts = rng.uniform(-30, 30, (30, 3))
         tris = rng.integers(0, 30, (40, 3))
         ok = (tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2]) & (tris[:, 0] != tris[:, 2])
         mesh = TriangleMesh(verts, tris[ok])
-        axes = estimate_axes(mesh)
+        try:
+            axes = plate_axes(mesh)
+        except ValueError as e:
+            assert re.match(r"^(superior|inferior) endplate: |^endplates: ", str(e)), str(e)
+            outcomes.append("error")
+            continue
+        outcomes.append("axes")
         m = axes.as_matrix()
         assert np.max(np.abs(m.T @ m - np.eye(3))) < 1e-6
         assert np.max(np.abs(np.cross(axes.lateral, axes.anterior)
                              - axes.longitudinal)) < 1e-6
+    assert "axes" in outcomes
+
+
+def test_estimate_axes_names_plates_without_an_anterior_direction():
+    # one triangle per plate: a single centroid each, so no in-plane spread
+    superior = TriangleMesh([[0, 0, 10], [1, 0, 10], [0, 1, 10]], [[0, 1, 2]])
+    inferior = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 2, 1]])
+    with pytest.raises(ValueError, match="^endplates: the plate triangles' centroids lie "
+                                         "on one line, so they give no anterior axis$"):
+        estimate_axes(superior, inferior, PATIENT_AXES)

@@ -118,21 +118,6 @@ class TestLandmarks:
             err = np.linalg.norm(detected.points() - truth.points(), axis=1).max()
             assert err < 1e-6
 
-    def test_spine_curve_axis_mode(self, synth_dir, tmp_path):
-        # spline-tangent axes on a coherent lordotic stack still land on
-        # the exact extreme vertices
-        meshes = sorted(
-            os.path.join(synth_dir, n) for n in os.listdir(synth_dir) if n.endswith(".ply"))
-        out = str(tmp_path / "lmk_curve")
-        rc = main(["landmarks", *meshes, "--out", out,
-                   "--set", "anatomy.use_spine_curve=true"])
-        assert rc == 0
-        for level in ("L1", "L3", "L5"):
-            _, detected = load_landmarks(os.path.join(out, f"landmarks_{level}.json"))
-            _, truth = load_landmarks(os.path.join(synth_dir, f"landmarks_{level}.json"))
-            err = np.linalg.norm(detected.points() - truth.points(), axis=1).max()
-            assert err < 1e-6
-
     def test_corrupt_file_nonzero_exit_names_file(self, tmp_path, capsys):
         bad = tmp_path / "vertebra_L1.ply"
         bad.write_text("not a ply file")
@@ -140,16 +125,17 @@ class TestLandmarks:
         assert main(["landmarks", str(bad), "--out", out]) == 1
         assert "vertebra_L1.ply" in capsys.readouterr().err
 
-    def test_single_vertebra_warns_and_succeeds(self, tmp_path, capsys):
-        mesh, _, _ = generate_vertebra(default_vertebra_params("L3"))
+    def test_single_vertebra_succeeds_without_a_warning(self, tmp_path, capsys):
+        # a lone level is its spine's middle level: seeded with the orientation
+        # hint like any middle level, so nothing is reduced
+        mesh, truth, _ = generate_vertebra(default_vertebra_params("L3"))
         path = str(tmp_path / "vertebra_L3.ply")
         save_mesh(mesh, path)
         out = str(tmp_path / "lmk")
-        # without the spine curve every level uses the principal axes anyway
-        for use_curve, warned in (("false", False), ("true", True)):
-            assert main(["landmarks", path, "--out", out,
-                         "--set", f"anatomy.use_spine_curve={use_curve}"]) == 0
-            assert ("single vertebra" in capsys.readouterr().err) == warned
+        assert main(["landmarks", path, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        _, detected = load_landmarks(os.path.join(out, "landmarks_L3.json"))
+        assert np.linalg.norm(detected.points() - truth.points(), axis=1).max() < 1e-9
 
     def test_levels_override_and_duplicates(self, synth_dir, tmp_path, capsys):
         meshes = sorted(
@@ -158,20 +144,18 @@ class TestLandmarks:
                      "--levels", "L1,L1"]) == 1
         assert "duplicate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("use_curve", ["false", "true"])
-    def test_matches_library_detection(self, perturbed_targets, tmp_path, use_curve):
-        # the CLI and register_spine share one detection path; on these
-        # perturbed bodies the spine curve moves landmarks by millimeters
+    def test_matches_library_detection(self, perturbed_targets, tmp_path):
+        # the CLI and register_spine share one detection path: the same seeds
+        # from the middle level outward give the same bits
         out = str(tmp_path / "lmk")
-        override = f"anatomy.use_spine_curve={use_curve}"
+        override = "anatomy.cos_threshold=0.75"
         assert main(["landmarks", *perturbed_targets, "--out", out, "--set", override]) == 0
         config = build_config(None, [override])
         spine = SpineModel(tuple(
             Vertebra(level=level_from_filename(os.path.basename(p)), mesh=load_mesh(p))
             for p in perturbed_targets))
         expected = detect_spine_landmarks(
-            spine, orientation_hint=config.orientation_hint,
-            cos_threshold=config.cos_threshold, use_spine_curve=config.use_spine_curve)
+            spine, orientation_hint=config.orientation_hint, cos_threshold=config.cos_threshold)
         for level, want in zip(spine.levels, expected):
             _, got = load_landmarks(os.path.join(out, f"landmarks_{level}.json"))
             np.testing.assert_array_equal(got.points(), want.points())
@@ -367,10 +351,7 @@ class TestConfig:
         assert "cos_threshold" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, key", [
-        # values a coercing reader let through: "False" and "no" turned the
-        # curve on, fractions were truncated
-        ("anatomy.use_spine_curve=False", "anatomy.use_spine_curve"),
-        ("anatomy.use_spine_curve=no", "anatomy.use_spine_curve"),
+        # values a coercing reader let through: fractions were truncated
         ("icp.max_iterations=2.5", "icp.max_iterations"),
         ("registration.seed=1.7", "registration.seed"),
         ('facet.target_width_mm={"L1-L2":1,"L1_L3":1,"L3-L4":1,"L4-L5":1}',
@@ -385,7 +366,6 @@ class TestConfig:
         ("axes.longitudinal=-z", "axes.longitudinal"),
         ("anatomy.cos_threshold=1.0", "anatomy.cos_threshold"),
         ("anatomy.cos_threshold=NaN", "anatomy.cos_threshold"),
-        ("anatomy.use_spine_curve=1", "anatomy.use_spine_curve"),
         ("registration.mode=fast", "registration.mode"),
         ("registration.seed=-1", "registration.seed"),
         ("icp.max_iterations=0", "icp.max_iterations"),
@@ -396,6 +376,9 @@ class TestConfig:
         ("output.format=vtk", "output.format"),
         # removed keys are unknown, whatever their value, as are keys never known
         ("anatomy.slab_half_width_mm=0", "anatomy.slab_half_width_mm"),
+        ("anatomy.use_spine_curve=False", "anatomy.use_spine_curve"),
+        ("anatomy.use_spine_curve=no", "anatomy.use_spine_curve"),
+        ("anatomy.use_spine_curve=1", "anatomy.use_spine_curve"),
         ("icp.outlier_trim_fraction=1.0", "icp.outlier_trim_fraction"),
         ("icp.outlier_trim_fraction=true", "icp.outlier_trim_fraction"),
         ("icp.convergence_tol_mm=0", "icp.convergence_tol_mm"),
@@ -418,6 +401,8 @@ class TestConfig:
         ('{"anatomy": {"nope": 1}}', "unknown config key 'anatomy.nope'"),
         ('{"anatomy": {"slab_half_width_mm": 1}}',
          "unknown config key 'anatomy.slab_half_width_mm'"),
+        ('{"anatomy": {"use_spine_curve": true}}',
+         "unknown config key 'anatomy.use_spine_curve'"),
     ])
     def test_file_rejection_names_key(self, tmp_path, content, message, capsys):
         path = tmp_path / "config.json"
@@ -459,7 +444,7 @@ class TestConfig:
             "lateral": "+x", "anterior": "+y", "longitudinal": "+z"}
 
     def test_dump_round_trips_through_config_file(self, tmp_path, capsys):
-        overrides = ["anatomy.use_spine_curve=true", "registration.mode=icp_vb", "icp.max_iterations=7",
+        overrides = ["anatomy.cos_threshold=0.75", "registration.mode=icp_vb", "icp.max_iterations=7",
                      'facet.target_width_mm={"L1-L2":2,"L2-L3":1.5,"L3-L4":1.5,"L4-L5":1}',
                      'axes={"lateral":"-x","anterior":"-y","longitudinal":"+z"}']
         assert main(["config", "--dump", *(a for o in overrides for a in ("--set", o))]) == 0
@@ -475,7 +460,7 @@ class TestConfig:
                 np.testing.assert_array_equal(a.as_matrix(), b.as_matrix())
             else:
                 assert a == b, field.name
-        assert want.use_spine_curve is True and want.facet_target_width["L4-L5"] == 1.0
+        assert want.cos_threshold == 0.75 and want.facet_target_width["L4-L5"] == 1.0
         assert want.icp_max_iterations == 7
 
 

@@ -28,7 +28,6 @@ from spinerecon.mesh import (
     face_normals,
     median_edge_length,
     pair_component_labels,
-    principal_axes,
     submesh_by_label,
     transform_mesh,
     triangle_adjacency,
@@ -176,62 +175,6 @@ class TestCenterOfMass:
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
-def extents(mesh, axes):
-    """Half extents of the mesh along each column of axes."""
-    proj = mesh.vertices @ axes
-    return 0.5 * (proj.max(axis=0) - proj.min(axis=0))
-
-
-class TestOrientedBoundingBox:
-    """principal_axes gives the axes of the oriented bounding box, longest extent first."""
-
-    def test_axis_aligned_box(self):
-        m = box_mesh(40, 30, 20)
-        axes = principal_axes(m)
-        np.testing.assert_allclose(extents(m, axes), [20, 15, 10], atol=1e-9)
-        np.testing.assert_allclose(np.abs(axes), np.eye(3), atol=1e-9)
-
-    def test_rotated_box_recovers_rotation(self):
-        ang = np.radians(30.0)
-        R = np.array([
-            [np.cos(ang), -np.sin(ang), 0],
-            [np.sin(ang), np.cos(ang), 0],
-            [0, 0, 1],
-        ])
-        T = np.eye(4)
-        T[:3, :3] = R
-        m = transform_mesh(box_mesh(40, 30, 20), T)
-        axes = principal_axes(m)
-        np.testing.assert_allclose(extents(m, axes), [20, 15, 10], atol=1e-6)
-        expected = R @ np.eye(3)
-        for k in range(3):
-            assert abs(abs(axes[:, k] @ expected[:, k]) - 1.0) < 1e-6
-
-    def test_coincident_vertices_error(self):
-        m = TriangleMesh(np.zeros((3, 3)) + 2.0, [[0, 1, 2]])
-        with pytest.raises(ValueError, match="degenerate"):
-            principal_axes(m)
-
-    def test_extents_rigid_invariant(self):
-        # the axes turn with the mesh, so the extents along them do not change
-        rng = np.random.default_rng(11)
-        m = box_mesh(40, 30, 20)
-        base = extents(m, principal_axes(m))
-        for _ in range(10):
-            moved = transform_mesh(m, random_rigid(rng))
-            np.testing.assert_allclose(extents(moved, principal_axes(moved)), base, atol=1e-6)
-
-    def test_right_handed_and_sorted(self):
-        rng = np.random.default_rng(3)
-        m = box_mesh(13, 29, 7, center=(4, 5, 6))
-        for _ in range(10):
-            moved = transform_mesh(m, random_rigid(rng))
-            axes = principal_axes(moved)
-            ext = extents(moved, axes)
-            assert np.linalg.det(axes) > 0
-            assert ext[0] >= ext[1] >= ext[2]
-
-
 class TestClosestPoint:
     def test_query_on_vertex_is_zero(self):
         v, t = tetrahedron()
@@ -370,18 +313,6 @@ def test_surface_index_single_triangle():
     p, d = index.query([1.0, 1.0, 2.0])
     assert d[0] == pytest.approx(2.0)
     np.testing.assert_allclose(p[0], [1, 1, 0], atol=1e-12)
-
-
-def test_obb_of_planar_sheet():
-    # planar geometry is allowed; the flat direction comes last (the
-    # asymmetric diagonal split tilts the principal axes a fraction of a
-    # degree, so in-plane extents are only approximate)
-    m = sheet_mesh(20, 10, nx=9, ny=9)
-    axes = principal_axes(m)
-    ext = extents(m, axes)
-    np.testing.assert_allclose(ext[:2], [10, 5], atol=0.2)
-    assert ext[2] <= 1e-9
-    np.testing.assert_allclose(np.abs(axes[:, 2]), [0, 0, 1], atol=1e-9)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1016,6 +947,23 @@ def test_face_cross_is_cached_and_read_only():
     tri = mesh.triangle_points()
     want = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     np.testing.assert_array_equal(_bits(cross), _bits(want))
+
+
+def test_normals_and_adjacency_are_computed_once_per_mesh_and_read_only():
+    # landmark detection reads both on every axis pass of a level
+    mesh, _, _ = generate_vertebra(default_vertebra_params("L3", tessellation_edge=3.0))
+    normals, adjacency = face_normals(mesh), triangle_adjacency(mesh)
+    assert face_normals(mesh) is normals and triangle_adjacency(mesh) is adjacency
+    for array in (normals, *adjacency):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    fresh = TriangleMesh(mesh.vertices, mesh.triangles)
+    cross = fresh._face_cross
+    length = np.linalg.norm(cross, axis=1)
+    np.testing.assert_array_equal(_bits(normals), _bits(cross / length[:, None]))
+    assert triangle_adjacency(fresh) is not adjacency
+    for got, want in zip(triangle_adjacency(fresh), adjacency):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e160, 1e300, -1e300])

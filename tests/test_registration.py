@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 import time
 
@@ -288,34 +289,51 @@ class TestRegisterSpine:
         kept = detect_spine_landmarks(
             SpineModel(tuple(v.with_(landmarks=lms, axes=None)
                              for v, lms in zip(spine.vertebrae, given))),
-            orientation_hint=PATIENT_AXES, cos_threshold=0.8, use_spine_curve=False)
+            orientation_hint=PATIENT_AXES, cos_threshold=0.8)
         assert all(a is b for a, b in zip(kept, given))
 
     def test_detection_builds_submeshes_only_when_a_level_needs_detecting(self, monkeypatch):
         spine = straight_spine(3)
-        built = []
-        build = registration.detection_mesh
+        built, seeds = [], []
+        build, detect = registration.detection_mesh, registration.detect_vertebra_landmarks
 
         def counted(vertebra):
             built.append(vertebra.level)
             return build(vertebra)
 
+        def seeded(mesh, *, orientation_hint, cos_threshold):
+            landmarks, axes = detect(mesh, orientation_hint=orientation_hint,
+                                     cos_threshold=cos_threshold)
+            seeds.append((orientation_hint, axes))
+            return landmarks, axes
+
         monkeypatch.setattr(registration, "detection_mesh", counted)
-        options = dict(orientation_hint=PATIENT_AXES, cos_threshold=0.8, use_spine_curve=True)
+        monkeypatch.setattr(registration, "detect_vertebra_landmarks", seeded)
+        hint = PATIENT_AXES.rotated(Rotation.from_rotvec([0.0, 0.0, 0.2]).as_matrix())
+        options = dict(orientation_hint=hint, cos_threshold=0.8)
 
         kept = detect_spine_landmarks(spine, **options)
-        assert built == []
+        assert built == [] and seeds == []
         assert all(a is v.landmarks for a, v in zip(kept, spine.vertebrae))
 
-        # one level to detect: the spine curve still needs every level's body
+        # the middle level first, seeded with the hint; then each level outward,
+        # seeded with the axes its inner neighbour converged to
         detected = detect_spine_landmarks(strip_anatomy(spine), **options)
+        assert built == ["L2", "L1", "L3"]
+        assert seeds[0][0] is hint and seeds[1][0] is seeds[0][1] and seeds[2][0] is seeds[0][1]
+
+        # a kept middle level builds nothing and passes the hint on to both neighbours
         built.clear()
+        seeds.clear()
         partial = SpineModel((spine.vertebrae[0].with_(landmarks=None, axes=None),
-                              *spine.vertebrae[1:]))
+                              spine.vertebrae[1],
+                              spine.vertebrae[2].with_(landmarks=None, axes=None)))
         got = detect_spine_landmarks(partial, **options)
-        assert built == ["L1", "L2", "L3"]
-        assert got[0].to_dict() == detected[0].to_dict()
-        assert all(a is v.landmarks for a, v in zip(got[1:], spine.vertebrae[1:]))
+        assert built == ["L1", "L3"]
+        assert len(seeds) == 2 and all(seed is hint for seed, _ in seeds)
+        assert got[1] is spine.vertebrae[1].landmarks
+        for i in (0, 2):
+            np.testing.assert_array_equal(bits(got[i].points()), bits(detected[i].points()))
 
     def test_body_only_mesh_is_its_own_detection_mesh(self):
         vertebra = straight_spine(2)[0]
@@ -328,13 +346,13 @@ class TestRegisterSpine:
         assert copy is not body
         np.testing.assert_array_equal(bits(copy.vertices), bits(body.vertices))
         np.testing.assert_array_equal(copy.triangles, body.triangles)
-        got = detect_vertebra_landmarks(detection_mesh(target))
-        want = detect_vertebra_landmarks(copy)
+        got, _ = detect_vertebra_landmarks(detection_mesh(target))
+        want, _ = detect_vertebra_landmarks(copy)
         np.testing.assert_array_equal(bits(got.points()), bits(want.points()))
 
     def test_body_only_mesh_with_an_unreferenced_vertex_is_submeshed(self):
         body = submesh_by_label(straight_spine(2)[0].mesh, LABEL_VERTEBRAL_BODY)
-        # a far vertex on no triangle would stretch the principal-axis extents
+        # a far vertex on no triangle is left out of the detection mesh
         loose = TriangleMesh(np.vstack([body.vertices, [[500.0, 0.0, 0.0]]]), body.triangles,
                              np.append(body.labels, LABEL_VERTEBRAL_BODY))
         got = detection_mesh(Vertebra("L1", loose))
@@ -366,6 +384,25 @@ class TestRegisterSpine:
             for v in spine.vertebrae))
         with pytest.raises(RuntimeError, match="L1"):
             register_spine(strip_anatomy(spine), bad, "ours", cos_threshold=0.9999)
+
+    @pytest.mark.parametrize("tilts, failure", [
+        # L3's wedge puts its inferior plate 10 degrees off the axes L2 passes on
+        ((0.0, 0.0, 10.0), "L3: landmark detection with axes seeded from neighbour L2 failed: "
+                           "inferior endplate"),
+        ((10.0, 10.0, 10.0), "L2: landmark detection with axes seeded from the orientation "
+                             "hint failed: superior endplate"),
+    ])
+    def test_empty_plate_names_level_plate_seed_and_key(self, tilts, failure):
+        params = SpineParams(
+            vertebrae=tuple(default_vertebra_params(level, endplate_tilt_deg=tilt)
+                            for level, tilt in zip(("L1", "L2", "L3"), tilts)),
+            ivd_heights=(5.0, 5.0), fsu_angles=(0.0, 0.0))
+        bodies = SpineModel(tuple(v.with_(mesh=detection_mesh(v), landmarks=None, axes=None)
+                                  for v in generate_spine(params)[0].vertebrae))
+        with pytest.raises(RuntimeError, match="^" + re.escape(
+                failure + ": no triangle normal has similarity >= 0.999 with the longitudinal "
+                "axis; lower anatomy.cos_threshold") + "$"):
+            detect_spine_landmarks(bodies, orientation_hint=PATIENT_AXES, cos_threshold=0.999)
 
     def test_icp_vb_mode_applies_to_full_mesh(self):
         spine = straight_spine(2)
@@ -410,18 +447,6 @@ class TestRegisterSpine:
             d_ours = point_to_model_distance(run_ours.spine[i].mesh, index, vertex_mask=mask)
             d_hybrid = point_to_model_distance(run_hybrid.spine[i].mesh, index, vertex_mask=mask)
             assert d_hybrid <= d_ours + 1e-6
-
-    def test_spine_curve_mode_identity_case(self):
-        # with coherent source and target stacks the spline-tangent axes
-        # agree on both sides and the identity is still recovered
-        spine = straight_spine()
-        targets = SpineModel(tuple(
-            v.with_(mesh=detection_mesh(v), landmarks=None, axes=None)
-            for v in spine.vertebrae))
-        run = register_spine(strip_anatomy(spine), targets, "ours",
-                             use_spine_curve=True)
-        for T in run.transforms:
-            np.testing.assert_allclose(T, np.eye(4), atol=1e-9)
 
 
 class TestRegisterSpinePool:
@@ -491,7 +516,7 @@ class TestRegisterSpinePool:
 
     def test_pooled_detection_changes_no_bit(self, fine_case, monkeypatch):
         atlas, targets = fine_case
-        options = dict(orientation_hint=PATIENT_AXES, cos_threshold=0.8, use_spine_curve=False)
+        options = dict(orientation_hint=PATIENT_AXES, cos_threshold=0.8)
         workers = count_executors(monkeypatch)
 
         def run():
@@ -516,9 +541,10 @@ class TestRegisterSpinePool:
                 crowded = run()
         finally:
             sys.setswitchinterval(interval)
-        # 3 target levels, then twice 3 atlas and 3 target levels in one map
+        # the target spine's two walks; then twice the two middle levels, and the
+        # four walks of the atlas and the target spine
         cpus = spine_module._usable_cpus()
-        sizes = (min(3, cpus), min(6, cpus), min(6, cpus), 3, 6, 6)
+        sizes = (*(min(n, cpus) for n in (2, 2, 4, 2, 4)), 2, 2, 4, 2, 4)
         assert workers == [n - 1 for n in sizes if n > 1]
         for detected, run_, same in (default, crowded):
             for want, got in zip(serial[2].transforms, same.transforms):
@@ -550,10 +576,12 @@ class TestRegisterSpinePool:
         monkeypatch.setattr(registration, "_POOL_MIN_TRIANGLES", 0)
         monkeypatch.setattr(spine_module, "_usable_cpus", lambda: 3)
         workers = count_executors(monkeypatch)
-        with pytest.raises(RuntimeError,
-                           match=r"^L3: landmark detection failed: broken atlas level$"):
+        # after the middle levels (L2), the walks: atlas up (L1), atlas down (L3),
+        # target up (L1, fails first) and target down (L3)
+        with pytest.raises(RuntimeError, match=r"^L3: landmark detection with axes seeded from "
+                                               r"neighbour L2 failed: broken atlas level$"):
             register_spine(atlas, targets, "ours")
-        assert workers == [2]
+        assert workers == [1, 2]
 
     def test_ours_builds_no_pool(self, case, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -566,7 +594,7 @@ class TestRegisterSpinePool:
         assert max(v.mesh.n_triangles for v in atlas.vertebrae) < registration._POOL_MIN_TRIANGLES
         assert len(register_spine(atlas, targets, "ours").transforms) == 3
         assert len(detect_spine_landmarks(targets, orientation_hint=PATIENT_AXES,
-                                          cos_threshold=0.8, use_spine_curve=False)) == 3
+                                          cos_threshold=0.8)) == 3
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)

@@ -89,7 +89,7 @@ class TestGenerateVertebra:
         ]
         for params in cases:
             mesh, truth, _ = generate_vertebra(params)
-            lms = detect_vertebra_landmarks(mesh)
+            lms, _ = detect_vertebra_landmarks(mesh)
             err = np.linalg.norm(lms.points() - truth.points(), axis=1).max()
             assert err <= 1e-9
 
